@@ -82,15 +82,10 @@ class Var:
 
 
 class Tape:
-    """Append-only record of a forward computation.
-
-    ``gradients`` is populated by :func:`backward`: one array per node,
-    ``None`` where the loss does not reach.
-    """
+    """Append-only record of a forward computation."""
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.gradients: list[Array | None] = []
 
     def _append(self, op: str, inputs: tuple[int, ...], value: Array,
                 vjp: Callable[[Array], tuple] | None) -> Var:
@@ -381,7 +376,6 @@ def backward(tape: Tape, loss: Var) -> dict[int, Array]:
             if grads[iid] is None:
                 grads[iid] = np.zeros_like(tape.nodes[iid].value)
             grads[iid] += ig
-    tape.gradients = grads
 
     out: dict[int, Array] = {}
     for nid, node in enumerate(tape.nodes):

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from pathlib import Path
@@ -56,7 +57,6 @@ DEFAULT_CONFIG: dict = {
         "grad_clip_norm": None,
         "eval_every": 1,
         "pos_weight": 1.0,
-        "workers": 1,
     },
     "seeds": [1, 2, 3, 4, 5],
     "out_dir": "runs/default",
@@ -106,7 +106,7 @@ class RunConfig:
     def load(cls, config_path: str | None, overrides: tuple[str, ...],
              out_dir: str | None = None) -> "RunConfig":
         source_text = None
-        cfg = dict(DEFAULT_CONFIG)
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
         if config_path is not None:
             source_text = Path(config_path).read_text(encoding="utf-8")
             try:
@@ -151,7 +151,6 @@ class RunConfig:
                             else float(tc["grad_clip_norm"])),
             eval_every=int(tc.get("eval_every", 1)),
             pos_weight=float(tc.get("pos_weight", 1.0)),
-            workers=int(tc.get("workers", 1)),
         )
 
     def ratios(self) -> tuple[float, float, float]:

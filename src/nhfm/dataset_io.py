@@ -113,19 +113,28 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
     split = r.string("split tag")
     t_max = r.varint("t_max")
     n_seqs = r.varint("sequence count")
+    n_features = schema.n
     sequences = []
     for _ in range(n_seqs):
         user = r.string("user id")
         label = r.take(1, "label")[0]
+        if label > 1:
+            raise FormatError(f"sequence of user {user!r} has label byte {label}, "
+                              "expected 0 or 1")
         n_real = r.varint("real-event count")
         if n_real > t_max:
             raise FormatError(f"sequence claims {n_real} real events but t_max={t_max}")
+        if n_real == 0:
+            raise FormatError(f"sequence of user {user!r} has no real event")
         real = []
         for _ in range(n_real):
             n_entries = r.varint("entry count")
             entries = []
             for _ in range(n_entries):
                 index = r.varint("feature index")
+                if index >= n_features:
+                    raise FormatError(f"feature index {index} outside the schema's "
+                                      f"{n_features} features")
                 value = r.f64("feature value")
                 entries.append((index, value))
             real.append(Event(tuple(entries)))

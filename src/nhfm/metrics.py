@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,7 @@ class RunSummary:
 
 def mean_ci(values: Sequence[float], level: float = 0.95) -> RunSummary:
     """Mean with t-quantile confidence halfwidth over independent runs."""
+    from scipy import stats  # imported here: scipy.stats dominates import time
     vals = tuple(float(v) for v in values)
     m = len(vals)
     if m < 2:
@@ -140,6 +140,7 @@ def ttest_ind(a: Sequence[float], b: Sequence[float]) -> float:
 
     Degenerate zero-variance pairs: p = 1 for equal means, else 0.
     """
+    from scipy import special  # imported here, like scipy.stats in mean_ci
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     if xa.size < 2 or xb.size < 2:

@@ -305,6 +305,12 @@ _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
 
 
+def probabilities(logits: np.ndarray) -> np.ndarray:
+    """Sigmoid of each logit, clamped to the nearest representable values
+    inside (0, 1)."""
+    return np.clip(ad.sigmoid_values(logits), _OPEN_LO, _OPEN_HI)
+
+
 def forward(seq: EventSequence, params: Parameters,
             config: ModelConfig) -> ForwardCache:
     """Run the full model on one sequence, recording a tape.
@@ -349,8 +355,7 @@ def forward(seq: EventSequence, params: Parameters,
 
     wide = wide_term(tape, seq, pv)
     logit = ad.add(_mlp(pv, s, len(config.mlp_widths)), wide)
-    y_hat = float(np.clip(ad.sigmoid_values(logit.value.reshape(1))[0],
-                          _OPEN_LO, _OPEN_HI))
+    y_hat = float(probabilities(logit.value.reshape(1))[0])
 
     return ForwardCache(
         event_vectors=[v.value if v is not None else None for v in slot_vars],
@@ -370,6 +375,3 @@ def forward(seq: EventSequence, params: Parameters,
         param_vars=pv,
     )
 
-
-def predict(seq: EventSequence, params: Parameters, config: ModelConfig) -> float:
-    return forward(seq, params, config).y_hat

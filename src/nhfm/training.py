@@ -1,21 +1,23 @@
 """Negative log-likelihood training: minibatch loop, SGD/Adam, early
 stopping on validation AUC, gradient verification, and divergence guards.
 
-One tape is built per example; batch gradients are the mean of per-example
-gradients accumulated in ascending example order, so results are identical
-no matter how many worker threads compute the forward/backward passes.
+Training and scoring run batched (:mod:`nhfm.batched`): each minibatch is
+packed into padded arrays and every layer runs once per batch with a
+hand-written backward pass. The per-window tape behind
+:func:`example_loss_and_grads` and :func:`grad_check_mode` is the
+reference those passes are tested against.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from . import batched
 from . import metrics as mt
 from .data import Dataset, EventSequence
 from .errors import NumericalError
@@ -38,7 +40,6 @@ class TrainConfig:
     eval_every: int = 1                # epochs between validation passes
     pos_weight: float = 1.0            # weight on positive-class loss terms
     target_train_nll: float | None = None  # stop early once reached
-    workers: int = 1
 
     def validate(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
@@ -49,8 +50,6 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +93,9 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # two work arrays per parameter for the in-place Adam update; not saved
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, kind: str, params: Parameters) -> "OptimizerState":
@@ -107,7 +109,13 @@ class OptimizerState:
 def optimizer_step(params: Parameters, grads: Mapping[str, np.ndarray],
                    state: OptimizerState, config: TrainConfig
                    ) -> tuple[Parameters, OptimizerState]:
-    """In-place parameter update; NaN gradients abort, naming the tensor."""
+    """In-place parameter update; NaN gradients abort, naming the tensor.
+
+    The Adam update works in preallocated buffers but keeps the operation
+    order of the textbook expressions, so its results are bit-identical
+    to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``.
+    """
     for name in params:
         if not np.all(np.isfinite(grads[name])):
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
@@ -128,13 +136,26 @@ def optimizer_step(params: Parameters, grads: Mapping[str, np.ndarray],
     state.step += 1
     t = state.step
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
     for name in params:
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v, p = grads[name], state.m[name], state.v[name], params[name]
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
+        work, denom = state.scratch[name]
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=work)
+        np.add(m, work, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=work)
+        np.multiply(work, g, out=work)
+        np.add(v, work, out=v)
+        np.divide(m, c1, out=work)       # m_hat
+        np.multiply(work, lr, out=work)
+        np.divide(v, c2, out=denom)      # v_hat
+        np.sqrt(denom, out=denom)
+        np.add(denom, eps, out=denom)
+        np.divide(work, denom, out=work)
+        np.subtract(p, work, out=p)
     return params, state
 
 
@@ -169,8 +190,7 @@ class TrainResult:
 
 def predict_scores(dataset: Dataset, params: Parameters,
                    config: ModelConfig) -> np.ndarray:
-    return np.array([forward(s, params, config).y_hat
-                     for s in dataset.sequences])
+    return batched.scores(dataset.sequences, params, config)
 
 
 def _dataset_auc(dataset: Dataset, params: Parameters,
@@ -180,38 +200,13 @@ def _dataset_auc(dataset: Dataset, params: Parameters,
     return mt.auc(mt.ScoredSet.of(scores, labels))
 
 
-def _batch_grads(batch: Sequence[EventSequence], params: Parameters,
-                 config: ModelConfig, pos_weight: float,
-                 pool: ThreadPoolExecutor | None
-                 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and gradients over a batch, reduced in example order."""
-    if pool is not None and len(batch) > 1:
-        results = list(pool.map(
-            lambda seq: example_loss_and_grads(seq, params, config, pos_weight),
-            batch))
-    else:
-        results = [example_loss_and_grads(seq, params, config, pos_weight)
-                   for seq in batch]
-
-    total_loss = 0.0
-    acc: dict[str, np.ndarray] = {n: np.zeros_like(p) for n, p in params.items()}
-    for loss, grads in results:  # ascending example index within the batch
-        total_loss += loss
-        for name, g in grads.items():
-            acc[name] += g
-    scale = 1.0 / len(batch)
-    for name in acc:
-        acc[name] *= scale
-    return total_loss * scale, acc
-
-
 def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
           train_config: TrainConfig,
           log_fn: Callable[[str], None] | None = None) -> TrainResult:
     """Single-seed training run returning the best-validation parameters.
 
-    Epoch shuffles draw from a (seed, epoch) stream; batches accumulate
-    gradients in ascending example order; validation AUC drives early
+    Epoch shuffles draw from a (seed, epoch) stream; the training split is
+    packed once and each batch is taken from it; validation AUC drives early
     stopping with the configured patience. Divergence (non-finite loss or
     gradient) stops training and returns the last good parameters.
     """
@@ -232,59 +227,53 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
     evals_since_improvement = 0
     log: list[EpochRecord] = []
     diverged = False
-    pool = (ThreadPoolExecutor(max_workers=train_config.workers)
-            if train_config.workers > 1 else None)
+    packed = batched.pack(train_ds.sequences, batched.max_entries(train_ds.sequences))
 
-    try:
-        for epoch in range(1, train_config.max_epochs + 1):
-            started = time.perf_counter()
-            rng = np.random.default_rng((train_config.seed, epoch))
-            order = rng.permutation(len(train_ds.sequences))
+    for epoch in range(1, train_config.max_epochs + 1):
+        started = time.perf_counter()
+        rng = np.random.default_rng((train_config.seed, epoch))
+        order = rng.permutation(len(train_ds.sequences))
 
-            epoch_loss, seen = 0.0, 0
-            try:
-                for lo in range(0, len(order), train_config.batch_size):
-                    batch = [train_ds.sequences[i]
-                             for i in order[lo:lo + train_config.batch_size]]
-                    loss, grads = _batch_grads(batch, params, model_config,
-                                               train_config.pos_weight, pool)
-                    if not np.isfinite(loss):
-                        raise NumericalError(f"training loss diverged: {loss}")
-                    params, state = optimizer_step(params, grads, state,
-                                                   train_config)
-                    epoch_loss += loss * len(batch)
-                    seen += len(batch)
-            except NumericalError as exc:
-                diverged = True
-                if log_fn:
-                    log_fn(f"epoch={epoch} aborted: {exc}")
-                break
-
-            train_nll = epoch_loss / seen
-            valid_auc = None
-            if epoch % train_config.eval_every == 0:
-                valid_auc = _dataset_auc(valid_ds, params, model_config)
-                if best_auc is None or valid_auc > best_auc:
-                    best_auc, best_epoch = valid_auc, epoch
-                    best_params = params.copy()
-                    evals_since_improvement = 0
-                else:
-                    evals_since_improvement += 1
-
-            record = EpochRecord(epoch, train_nll, valid_auc,
-                                 time.perf_counter() - started)
-            log.append(record)
+        epoch_loss, seen = 0.0, 0
+        try:
+            for lo in range(0, len(order), train_config.batch_size):
+                batch = packed.take(order[lo:lo + train_config.batch_size])
+                loss, grads = batched.loss_and_grads(batch, params, model_config,
+                                                     train_config.pos_weight)
+                if not np.isfinite(loss):
+                    raise NumericalError(f"training loss diverged: {loss}")
+                params, state = optimizer_step(params, grads, state, train_config)
+                size = len(batch.label)
+                epoch_loss += loss * size
+                seen += size
+        except NumericalError as exc:
+            diverged = True
             if log_fn:
-                log_fn(record.line())
+                log_fn(f"epoch={epoch} aborted: {exc}")
+            break
 
-            if (train_config.target_train_nll is not None
-                    and train_nll < train_config.target_train_nll):
-                break
-            if evals_since_improvement >= train_config.patience:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        train_nll = epoch_loss / seen
+        valid_auc = None
+        if epoch % train_config.eval_every == 0:
+            valid_auc = _dataset_auc(valid_ds, params, model_config)
+            if best_auc is None or valid_auc > best_auc:
+                best_auc, best_epoch = valid_auc, epoch
+                best_params = params.copy()
+                evals_since_improvement = 0
+            else:
+                evals_since_improvement += 1
+
+        record = EpochRecord(epoch, train_nll, valid_auc,
+                             time.perf_counter() - started)
+        log.append(record)
+        if log_fn:
+            log_fn(record.line())
+
+        if (train_config.target_train_nll is not None
+                and train_nll < train_config.target_train_nll):
+            break
+        if evals_since_improvement >= train_config.patience:
+            break
 
     if best_auc is None:  # no evaluation happened before stopping
         best_params, best_epoch = params.copy(), len(log)

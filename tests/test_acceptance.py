@@ -11,6 +11,8 @@ gate). Without the files those tests skip.
 """
 
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from nhfm import model as m
 from nhfm import movielens as ml
 from nhfm import synthetic as syn
 from nhfm import training as tr
+from nhfm.batched import SCORE_ROWS
 
 
 def _report(criterion, detail):
@@ -255,11 +258,9 @@ def test_criterion_6_movielens_training_gate():
 
     from nhfm.cli import RunConfig, prepare_datasets
 
-    workers = min(os.cpu_count() or 1, 8)  # execution detail; results identical
     cfg = RunConfig.load(None, (
         "dataset.kind=movielens",
         f"dataset.movielens_dir={root}",
-        f"train.workers={workers}",
     ))
     train_ds, valid_ds, test_ds = prepare_datasets(cfg)
     model_config = cfg.model_config()
@@ -306,31 +307,51 @@ def test_criterion_7_fraud_style_spauc_report():
     _report(7, f"spAUC@0.05 over 3 seeds: {line}")
 
 
-def test_criterion_8_training_determinism_across_workers():
-    """Identical config+seed must give bit-identical checkpoints no matter
-    how many worker threads compute the batch."""
+def _criterion_8_run():
+    """Train the criterion-8 model; returns (datasets, config, result)."""
     spec = syn.SynthSpec(n_users=40, n_fields=3, vocab_size=5, len_min=3,
                          len_max=7, t_max=5)
     ds = syn.synth_generate(spec, seed=5)
-    train_ds, valid_ds, _ = d.split(ds.sequences, schema=ds.schema)
+    splits = d.split(ds.sequences, schema=ds.schema)
     config = m.ModelConfig(variant="full", k=3, h=3, mlp_widths=(4, 1), t_max=5)
+    res = tr.train(splits[0], splits[1], config,
+                   tr.TrainConfig(seed=9, learning_rate=0.01, batch_size=8,
+                                  max_epochs=3, patience=5))
+    return splits, config, res
 
-    blobs = []
-    for workers in (1, 3):
-        res = tr.train(train_ds, valid_ds, config,
-                       tr.TrainConfig(seed=9, learning_rate=0.01, batch_size=8,
-                                      max_epochs=3, patience=5, workers=workers))
-        ck = cp.Checkpoint(config, ds.schema.hash(), res.params, res.opt_state,
-                           {"seed": 9})
-        blobs.append(cp.serialize_checkpoint(ck))
+
+def _criterion_8_checkpoint() -> bytes:
+    splits, config, res = _criterion_8_run()
+    return cp.serialize_checkpoint(cp.Checkpoint(
+        config, splits[0].schema.hash(), res.params, res.opt_state, {"seed": 9}))
+
+
+def test_criterion_8_training_determinism():
+    """Identical config+seed must give bit-identical checkpoints: from two
+    runs in this process and from a run in a fresh interpreter, which
+    starts from its own allocator, caches and hash seed. The trained
+    model scores a shuffled split as the permuted scores, bit for bit,
+    although each window lands in another scoring chunk at another
+    position."""
+    blobs = [_criterion_8_checkpoint(), _criterion_8_checkpoint()]
     assert blobs[0] == blobs[1]
 
-    # and a full repeat of the run reproduces the same bytes again
-    res = tr.train(train_ds, valid_ds, config,
-                   tr.TrainConfig(seed=9, learning_rate=0.01, batch_size=8,
-                                  max_epochs=3, patience=5, workers=2))
-    ck = cp.Checkpoint(config, ds.schema.hash(), res.params, res.opt_state,
-                       {"seed": 9})
-    assert cp.serialize_checkpoint(ck) == blobs[0]
-    _report(8, f"checkpoints bit-identical across worker counts "
-               f"({len(blobs[0])} bytes)")
+    src = str(Path(m.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_acceptance import _criterion_8_checkpoint; "
+            "sys.stdout.buffer.write(_criterion_8_checkpoint())")
+    fresh = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+        capture_output=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="123"))
+    assert fresh.returncode == 0, fresh.stderr.decode()
+    assert fresh.stdout == blobs[0]
+
+    (train_ds, _, _), config, res = _criterion_8_run()
+    scores = tr.predict_scores(train_ds, res.params, config)
+    order = np.random.default_rng(3).permutation(len(train_ds.sequences))
+    shuffled = d.Dataset(train_ds.schema, [train_ds.sequences[i] for i in order])
+    assert len(train_ds.sequences) > SCORE_ROWS  # several chunks, the last one padded
+    assert np.array_equal(tr.predict_scores(shuffled, res.params, config), scores[order])
+    _report(8, f"checkpoints bit-identical across runs and interpreters "
+               f"({len(blobs[0])} bytes); shuffled scores are the permuted scores")

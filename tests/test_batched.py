@@ -1,0 +1,144 @@
+"""The batched engine against the per-window tape, and the invariants its
+scores must keep: batchmates, position in a scoring chunk and the amount
+of left padding do not change a window's score."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nhfm import batched as bt
+from nhfm import data as d
+from nhfm import model as m
+from nhfm import training as tr
+
+N_FIELDS, VOCAB, T_MAX = 4, 5, 6
+N_FEATURES = N_FIELDS * VOCAB
+
+
+def random_event(rng, full: bool = False) -> d.Event:
+    """One entry for each of a random subset of fields (all fields when
+    ``full``); the last field is numerical, with a value in [0, 1]."""
+    fields = range(N_FIELDS) if full else sorted(
+        rng.choice(N_FIELDS, size=int(rng.integers(0, N_FIELDS + 1)), replace=False))
+    entries = []
+    for f in fields:
+        if f == N_FIELDS - 1:
+            entries.append((f * VOCAB, float(rng.uniform())))
+        else:
+            entries.append((f * VOCAB + int(rng.integers(VOCAB)), 1.0))
+    return d.Event(tuple(entries))
+
+
+def random_window(rng, n_history: int, t_max: int = T_MAX) -> d.EventSequence:
+    """A window with ``n_history`` real history events; its current event
+    has every field, so every set of windows has the same entry width."""
+    pad = t_max - 1 - n_history
+    events = [d.PADDING_EVENT] * pad + [random_event(rng) for _ in range(n_history)]
+    events.append(random_event(rng, full=True))
+    return d.EventSequence(events, [0] * pad + [1] * (n_history + 1),
+                           int(rng.integers(2)), "u")
+
+
+def left_pad(seq: d.EventSequence, extra: int) -> d.EventSequence:
+    return d.EventSequence([d.PADDING_EVENT] * extra + seq.events,
+                           [0] * extra + seq.q, seq.label, seq.user)
+
+
+def window_pool(seed: int, count: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [random_window(rng, int(rng.integers(T_MAX))) for _ in range(count)]
+
+
+def close(got, want, tol):
+    return np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))
+
+
+@pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
+@pytest.mark.parametrize("pos_weight", [1.0, 3.5])
+def test_logits_and_gradients_match_the_tape(variant, pos_weight):
+    rng = np.random.default_rng(17)
+    # zero, one and full history first, then a random mix
+    windows = [random_window(rng, n) for n in (0, 1, T_MAX - 1, 0, 1, T_MAX - 1)]
+    windows += [random_window(rng, int(rng.integers(T_MAX))) for _ in range(10)]
+    windows[1] = d.EventSequence(windows[1].events, windows[1].q, 1, "u")
+    config = m.ModelConfig(variant=variant, k=4, h=3, mlp_widths=(5, 3, 1), t_max=T_MAX)
+    params = m.random_parameters(config, N_FEATURES, seed=5)
+    batch = bt.pack(windows, bt.max_entries(windows))
+
+    tape_logits = np.array([m.forward(s, params, config).logit for s in windows])
+    assert np.all(close(bt.logits(batch, params, config), tape_logits, 1e-10))
+
+    loss, grads = bt.loss_and_grads(batch, params, config, pos_weight)
+    tape_loss = 0.0
+    tape_grads = {name: np.zeros_like(v) for name, v in params.items()}
+    for seq in windows:
+        one_loss, one_grads = tr.example_loss_and_grads(seq, params, config, pos_weight)
+        tape_loss += one_loss
+        for name, g in one_grads.items():
+            tape_grads[name] += g
+    assert abs(loss - tape_loss / len(windows)) <= 1e-10
+    assert set(grads) == set(tape_grads)
+    for name, g in tape_grads.items():
+        mean = g / len(windows)
+        assert grads[name].shape == mean.shape, name
+        assert np.all(close(grads[name], mean, 1e-10)), name
+        assert np.any(grads[name] != 0), name
+
+
+def test_windows_without_history_slots():
+    rng = np.random.default_rng(4)
+    windows = [random_window(rng, 0, t_max=1) for _ in range(4)]
+    config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=1)
+    params = m.random_parameters(config, N_FEATURES, seed=6)
+    batch = bt.pack(windows, N_FIELDS)
+    tape_logits = np.array([m.forward(s, params, config).logit for s in windows])
+    assert np.all(close(bt.logits(batch, params, config), tape_logits, 1e-10))
+    _, grads = bt.loss_and_grads(batch, params, config)
+    assert not np.any(grads["lstm.fwd.Wi"]) and not np.any(grads["attn.F1.W"])
+
+
+def test_filler_rows_are_empty_and_score_finite():
+    windows = window_pool(3, 5)
+    config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=T_MAX)
+    params = m.random_parameters(config, N_FEATURES, seed=2)
+    batch = bt.pack(windows, N_FIELDS, rows=8)
+    assert not batch.q[5:].any() and not batch.val[5:].any()
+    assert np.all(np.isfinite(bt.logits(batch, params, config)))
+
+
+SCORE_CONFIG = m.ModelConfig(variant="full", k=16, h=16, mlp_widths=(32, 16, 1),
+                             t_max=T_MAX)
+SCORE_POOL = window_pool(11, 40)
+SCORE_PARAMS = m.random_parameters(SCORE_CONFIG, N_FEATURES, seed=13)
+
+
+def scores_of(windows):
+    return tr.predict_scores(d.Dataset(None, windows), SCORE_PARAMS, SCORE_CONFIG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.integers(0, len(SCORE_POOL) - 1),
+       mates=st.lists(st.integers(0, len(SCORE_POOL) - 1), max_size=3 * bt.SCORE_ROWS),
+       at=st.integers(0, 3 * bt.SCORE_ROWS))
+def test_score_ignores_batchmates_and_position(target, mates, at):
+    alone = scores_of([SCORE_POOL[target]])[0]
+    windows = [SCORE_POOL[i] for i in mates]
+    at = min(at, len(windows))
+    windows.insert(at, SCORE_POOL[target])
+    assert scores_of(windows)[at] == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=st.lists(st.integers(0, len(SCORE_POOL) - 1), min_size=1, max_size=20),
+       extra=st.integers(1, 6),
+       variant=st.sampled_from(["alpha", "beta", "full"]))
+def test_left_padding_barely_moves_a_logit(picks, extra, variant):
+    config = m.ModelConfig(variant=variant, k=16, h=16, mlp_widths=(32, 16, 1),
+                           t_max=T_MAX)
+    params = m.random_parameters(config, N_FEATURES, seed=13)
+    windows = [SCORE_POOL[i] for i in picks]
+    padded = [left_pad(s, extra) for s in windows]
+    short = bt.logits(bt.pack(windows, N_FIELDS), params, config)
+    long = bt.logits(bt.pack(padded, N_FIELDS), params, config)
+    assert np.all(close(long, short, 1e-12))

@@ -1,10 +1,14 @@
 """End-to-end command tests over a small synthetic configuration."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from nhfm.cli import main
+import nhfm
+from nhfm.cli import DEFAULT_CONFIG, RunConfig, main
 
 
 @pytest.fixture
@@ -167,3 +171,22 @@ class TestUsage:
 
     def test_missing_config_file(self):
         assert run_cli("preprocess", "--config", "/nonexistent.json") == 1
+
+
+class TestConfigDefaults:
+    def test_overrides_leave_the_defaults_alone(self):
+        cfg = RunConfig.load(None, ("model.k=3", "train.batch_size=7"))
+        assert cfg.raw["model"]["k"] == 3
+        assert DEFAULT_CONFIG["model"]["k"] == 64
+        assert DEFAULT_CONFIG["train"]["batch_size"] == 32
+        cfg.raw["model"]["variant"] = "alpha"  # as `train --variant` does
+        assert DEFAULT_CONFIG["model"]["variant"] == "full"
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(nhfm.__file__))
+    code = "import sys, nhfm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

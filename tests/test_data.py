@@ -294,3 +294,38 @@ class TestDatasetIO:
             buf = bytearray()
             dio.write_varint(buf, value)
             assert dio.ByteReader(bytes(buf)).varint("x") == value
+
+    @pytest.fixture
+    def one_window(self, dataset):
+        """A one-window dataset over the synthetic schema, to corrupt."""
+        return d.Dataset(dataset.schema, [dataset.sequences[0]], "train")
+
+    def _with(self, ds, **changes):
+        seq = ds.sequences[0]
+        fields = dict(events=seq.events, q=seq.q, label=seq.label, user=seq.user)
+        fields.update(changes)
+        return d.Dataset(ds.schema, [d.EventSequence(**fields)], ds.split)
+
+    def test_label_byte_other_than_0_1_rejected(self, one_window):
+        blob = dio.serialize_dataset(self._with(one_window, label=7))
+        with pytest.raises(FormatError, match="label byte 7"):
+            dio.deserialize_dataset(blob, one_window.schema)
+
+    def test_window_without_real_events_rejected(self, one_window):
+        t_max = one_window.sequences[0].t_max
+        empty = self._with(one_window, events=[d.PADDING_EVENT] * t_max, q=[0] * t_max)
+        blob = dio.serialize_dataset(empty)
+        with pytest.raises(FormatError, match="no real event"):
+            dio.deserialize_dataset(blob, one_window.schema)
+
+    def test_feature_index_outside_schema_rejected(self, one_window):
+        seq = one_window.sequences[0]
+        n = one_window.schema.n
+        events = seq.events[:-1] + [d.Event(((n, 1.0),))]
+        blob = dio.serialize_dataset(self._with(one_window, events=events))
+        with pytest.raises(FormatError, match=f"feature index {n} outside"):
+            dio.deserialize_dataset(blob, one_window.schema)
+        # the largest valid index still reads back
+        events = seq.events[:-1] + [d.Event(((n - 1, 1.0),))]
+        blob = dio.serialize_dataset(self._with(one_window, events=events))
+        assert dio.deserialize_dataset(blob, one_window.schema).sequences[0].events == events
