@@ -25,7 +25,7 @@ import numpy as np
 from .data import FeatureSchema
 from .dataset_io import ByteReader, write_varint
 from .errors import CheckpointError
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, parameter_shapes
 from .training import OptimizerState
 
 CHECKPOINT_MAGIC = b"NHFMCK1"
@@ -41,11 +41,29 @@ class Checkpoint:
     metadata: dict
 
     def require_schema(self, schema: FeatureSchema) -> None:
+        """Check that this checkpoint can score data encoded with
+        ``schema``: the schema hash, the model config, and every
+        parameter's name and shape."""
         if schema.hash() != self.schema_hash:
             raise CheckpointError(
                 "checkpoint was trained against a different schema "
                 f"(hash {self.schema_hash.hex()[:12]}... vs "
                 f"{schema.hash().hex()[:12]}...)")
+        try:
+            self.model_config.validate()
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint has an invalid model config: {exc}") from None
+        want = parameter_shapes(self.model_config, schema.n)
+        have = {name: arr.shape for name, arr in self.params.items()}
+        if have.keys() != want.keys():
+            raise CheckpointError(
+                "checkpoint parameters do not match its model config: "
+                f"missing {sorted(want.keys() - have.keys())}, "
+                f"unexpected {sorted(have.keys() - want.keys())}")
+        for name, shape in want.items():
+            if have[name] != shape:
+                raise CheckpointError(f"parameter {name} has shape {have[name]}, "
+                                      f"expected {shape}")
 
 
 def _write_json_block(out: bytearray, payload) -> None:

@@ -197,13 +197,21 @@ def ingest_generic(path) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad record: {exc}")
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: a record must be a JSON object")
             for key in d.META_KEYS:
                 if key not in rec:
                     raise DataError(f"{path}:{lineno}: missing {key}")
+            if rec["__label"] not in (0, 1):
+                raise DataError(f"{path}:{lineno}: __label must be 0 or 1, "
+                                f"got {rec['__label']!r}")
             records.append(rec)
     if not records:
         raise DataError(f"{path}: no records")
-    records.sort(key=lambda r: (str(r["__user"]), r["__ts"]))
+    try:
+        records.sort(key=lambda r: (str(r["__user"]), r["__ts"]))
+    except TypeError as exc:
+        raise DataError(f"{path}: one user's __ts values cannot be ordered: {exc}") from None
     return records
 
 

@@ -108,30 +108,43 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def init_parameters(config: ModelConfig, n: int, seed: int) -> Parameters:
-    """Fresh parameters: embeddings N(0, 0.01^2), affine weights
-    uniform +-sqrt(6/(fan_in+fan_out)), LSTM forget bias 1, wide zeros."""
-    config.validate()
-    rng = np.random.default_rng(seed)
+def parameter_shapes(config: ModelConfig, n: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter for ``n`` features, in the order
+    ``init_parameters`` creates them."""
     k, h = config.k, config.h
-    arrays: dict[str, np.ndarray] = {}
-    arrays["embed.V"] = rng.normal(0.0, 0.01, size=(n, k))
-    arrays["wide.w"] = np.zeros(n)
-    arrays["wide.b"] = np.zeros(())
+    shapes: dict[str, tuple[int, ...]] = {"embed.V": (n, k), "wide.w": (n,), "wide.b": ()}
     if config.uses_attention():
         for name in ("F1", "F2", "F3"):
-            arrays[f"attn.{name}.W"] = _glorot(rng, k, k)
-            arrays[f"attn.{name}.b"] = np.zeros(k)
+            shapes[f"attn.{name}.W"] = (k, k)
+            shapes[f"attn.{name}.b"] = (k,)
         for direction in ("fwd", "bwd"):
             for gate in ("i", "f", "g", "o"):
-                arrays[f"lstm.{direction}.W{gate}"] = _glorot(rng, h, k)
-                arrays[f"lstm.{direction}.U{gate}"] = _glorot(rng, h, h)
-                arrays[f"lstm.{direction}.b{gate}"] = (
-                    np.ones(h) if gate == "f" else np.zeros(h))
+                shapes[f"lstm.{direction}.W{gate}"] = (h, k)
+                shapes[f"lstm.{direction}.U{gate}"] = (h, h)
+                shapes[f"lstm.{direction}.b{gate}"] = (h,)
     widths = (config.mlp_input_width(),) + tuple(config.mlp_widths)
     for i in range(len(config.mlp_widths)):
-        arrays[f"mlp.{i}.W"] = _glorot(rng, widths[i + 1], widths[i])
-        arrays[f"mlp.{i}.b"] = np.zeros(widths[i + 1])
+        shapes[f"mlp.{i}.W"] = (widths[i + 1], widths[i])
+        shapes[f"mlp.{i}.b"] = (widths[i + 1],)
+    return shapes
+
+
+def init_parameters(config: ModelConfig, n: int, seed: int) -> Parameters:
+    """Fresh parameters: embeddings N(0, 0.01^2), affine weights
+    uniform +-sqrt(6/(fan_in+fan_out)), LSTM forget bias 1, other biases
+    and the wide term zeros."""
+    config.validate()
+    rng = np.random.default_rng(seed)
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config, n).items():
+        if name == "embed.V":
+            arrays[name] = rng.normal(0.0, 0.01, size=shape)
+        elif len(shape) == 2:
+            arrays[name] = _glorot(rng, *shape)
+        elif name.startswith("lstm.") and name.endswith(".bf"):
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = np.zeros(shape)
     return Parameters(arrays)
 
 

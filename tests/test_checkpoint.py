@@ -1,5 +1,8 @@
 """Checkpoint round-trips and framing errors."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -105,3 +108,22 @@ class TestSchemaGuard:
         other = syn.synth_schema(syn.SynthSpec(vocab_size=5))
         with pytest.raises(CheckpointError, match="different schema"):
             ck.require_schema(other)
+
+    def test_parameter_of_the_wrong_shape_rejected(self, checkpoint):
+        ck, schema = checkpoint
+        ck.params = m.Parameters({**dict(ck.params.items()), "embed.V": ck.params["embed.V"][:5]})
+        with pytest.raises(CheckpointError, match=re.escape("embed.V has shape (5, 3)")):
+            ck.require_schema(schema)
+
+    def test_missing_parameter_rejected(self, checkpoint):
+        ck, schema = checkpoint
+        ck.params = m.Parameters({name: arr for name, arr in ck.params.items()
+                                  if name != "mlp.0.b"})
+        with pytest.raises(CheckpointError, match=re.escape("missing ['mlp.0.b']")):
+            ck.require_schema(schema)
+
+    def test_invalid_model_config_rejected(self, checkpoint):
+        ck, schema = checkpoint
+        ck.model_config = dataclasses.replace(ck.model_config, mlp_widths=(4, 2))
+        with pytest.raises(CheckpointError, match="invalid model config"):
+            ck.require_schema(schema)

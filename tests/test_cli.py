@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import nhfm
-from nhfm.cli import DEFAULT_CONFIG, RunConfig, main
+from nhfm import checkpoint as cp
+from nhfm import model as m
+from nhfm.cli import DEFAULT_CONFIG, RunConfig, ingest_generic, main
+from nhfm.errors import DataError
 
 
 @pytest.fixture
@@ -148,6 +152,15 @@ class TestEvalExplain:
         assert run_cli("preprocess", "--config", config) == 0
         assert run_cli("eval", "--config", config) == 2
 
+    def test_eval_rejects_a_checkpoint_of_the_wrong_shape(self, trained, capsys):
+        config, out = trained
+        path = out / "seed-1" / "checkpoint.nhfmck"
+        ck = cp.load_checkpoint(path)
+        ck.params = m.Parameters({**dict(ck.params.items()), "embed.V": ck.params["embed.V"][:5]})
+        cp.save_checkpoint(ck, path)
+        assert run_cli("eval", "--config", config) == 2
+        assert "embed.V has shape (5, 3)" in capsys.readouterr().err
+
     def test_explain_writes_rankings_and_reports(self, trained):
         config, out = trained
         assert run_cli("explain", "--config", config, "--count", "5") == 0
@@ -155,6 +168,47 @@ class TestEvalExplain:
         assert "High-risk features" in text
         assert "Low-risk features" in text
         assert "user=" in text
+
+
+class TestGenericJsonl:
+    @staticmethod
+    def write(tmp_path, *lines):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def line(user="u1", ts=0, label=0, color="red"):
+        return json.dumps({"__user": user, "__ts": ts, "__label": label, "color": color})
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, "1", "yes", None])
+    def test_label_other_than_0_or_1_names_the_line(self, tmp_path, label):
+        path = self.write(tmp_path, self.line(), self.line(ts=1, label=label))
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: __label must be 0 or 1")):
+            ingest_generic(path)
+
+    def test_mixed_timestamp_types_name_the_file(self, tmp_path):
+        path = self.write(tmp_path, self.line(ts=1), self.line(ts="2024-01-02"))
+        with pytest.raises(DataError, match=re.escape(f"{path}: one user's __ts values")):
+            ingest_generic(path)
+
+    def test_record_that_is_not_an_object_names_the_line(self, tmp_path):
+        path = self.write(tmp_path, self.line(), "5")
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}:2: a record must be a JSON object")):
+            ingest_generic(path)
+
+    def test_preprocess_exits_2_on_a_bad_label(self, tmp_path, capsys):
+        lines = [self.line(user=f"u{i % 3}", ts=i, label=i % 2) for i in range(12)]
+        cfg = {"dataset": {"kind": "generic", "t_max": 3, "fields": {"color": "categorical"},
+                           "path": str(self.write(tmp_path, *lines))},
+               "out_dir": str(tmp_path / "run")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("preprocess", "--config", config) == 0
+        self.write(tmp_path, *lines[:-1], self.line(user="u2", ts=11, label=2))
+        assert run_cli("preprocess", "--config", config, "--force") == 2
+        assert ":12: __label must be 0 or 1, got 2" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -1,8 +1,13 @@
 """Schema fitting, event encoding, sequence assembly, splitting, and the
 synthetic generator."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhfm import data as d
 from nhfm import dataset_io as dio
@@ -329,3 +334,106 @@ class TestDatasetIO:
         events = seq.events[:-1] + [d.Event(((n - 1, 1.0),))]
         blob = dio.serialize_dataset(self._with(one_window, events=events))
         assert dio.deserialize_dataset(blob, one_window.schema).sequences[0].events == events
+
+    def test_file_bytes_are_pinned(self, dataset):
+        blob = dio.serialize_dataset(dataset)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "7639de2807373f77cb8d898fa1430de8cce599f03369731760926dbcba1428ce")
+
+    def test_equal_events_of_one_user_decode_to_one_object(self, dataset):
+        back = dio.deserialize_dataset(dio.serialize_dataset(dataset), dataset.schema)
+        ids: dict[tuple[str, d.Event], set[int]] = {}
+        slots = 0
+        for seq in back.sequences:
+            for ev, q in zip(seq.events, seq.q):
+                if q:
+                    ids.setdefault((seq.user, ev), set()).add(id(ev))
+                    slots += 1
+        assert all(len(objects) == 1 for objects in ids.values())
+        assert len(ids) < slots  # windows overlap, so events do repeat
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_value_rejected(self, one_window, value):
+        seq = one_window.sequences[0]
+        events = seq.events[:-1] + [d.Event(((0, value),))]
+        blob = dio.serialize_dataset(self._with(one_window, events=events))
+        with pytest.raises(FormatError, match="feature value"):
+            dio.deserialize_dataset(blob, one_window.schema)
+
+    @pytest.mark.parametrize("what", ["user id", "split tag"])
+    def test_invalid_utf8_names_the_field(self, one_window, what):
+        ds = one_window
+        if what == "user id":
+            ds = self._with(ds, user="\u00e9")
+        else:
+            ds = d.Dataset(ds.schema, ds.sequences, "\u00e9")
+        blob = bytearray(dio.serialize_dataset(ds))
+        blob[blob.index("\u00e9".encode("utf-8"))] = 0xFF
+        with pytest.raises(FormatError, match=f"{what} is not valid UTF-8"):
+            dio.deserialize_dataset(bytes(blob), ds.schema)
+
+
+# A schema whose feature indices need 1, 2 and 3 varint bytes.
+WIDE_SCHEMA = d.FeatureSchema([
+    d.FieldSpec("item", d.CATEGORICAL, {str(i): i for i in range(16_500)}),
+    d.FieldSpec("amount", d.NUMERICAL, stats=(0.0, 1.0)),
+])
+_index = st.one_of(st.integers(0, 127), st.integers(128, 16_383),
+                   st.integers(16_384, WIDE_SCHEMA.n - 1))
+_event = st.lists(st.tuples(_index, st.floats(allow_nan=False, allow_infinity=False)),
+                  max_size=4, unique_by=lambda e: e[0]).map(lambda es: d.Event(tuple(sorted(es))))
+
+
+@st.composite
+def _datasets(draw):
+    """Windows over a small event pool, so events repeat within and across
+    users; sometimes shuffled, so a user's windows are not contiguous."""
+    pool = draw(st.lists(_event, min_size=1, max_size=6))
+    users = draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=4),
+                          min_size=1, max_size=4, unique=True))
+    streams = {user: [(draw(st.sampled_from(pool)), draw(st.integers(0, 1)))
+                      for _ in range(draw(st.integers(1, 6)))]
+               for user in users}
+    sequences = d.assemble_sequences(streams, draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        sequences = draw(st.permutations(sequences))
+    return d.Dataset(WIDE_SCHEMA, sequences, draw(st.sampled_from(["train", "t\u00e9st"])))
+
+
+@given(_datasets())
+@settings(max_examples=60, deadline=None)
+def test_dataset_round_trip_property(dataset):
+    blob = dio.serialize_dataset(dataset)
+    back = dio.deserialize_dataset(blob, WIDE_SCHEMA)
+    assert back.split == dataset.split
+    assert back.sequences == dataset.sequences
+    for seq in back.sequences:
+        assert type(seq.q) is list
+        assert all(type(ev.entries) is tuple and all(type(i) is int and type(v) is float
+                                                      for i, v in ev.entries)
+                   for ev in seq.events)
+    assert dio.serialize_dataset(back) == blob
+
+
+_SMALL = syn.synth_generate(syn.SynthSpec(n_users=8), seed=11)
+_SMALL_BLOB = dio.serialize_dataset(_SMALL)
+
+
+def _flip(spot):
+    pos, bit = spot
+    blob = bytearray(_SMALL_BLOB)
+    blob[pos] ^= 1 << bit
+    return bytes(blob)
+
+
+@given(st.one_of(
+    st.integers(0, len(_SMALL_BLOB) - 1).map(lambda n: _SMALL_BLOB[:n]),
+    st.tuples(st.integers(0, len(_SMALL_BLOB) - 1), st.integers(0, 7)).map(_flip)))
+@settings(max_examples=200, deadline=None)
+def test_corrupt_dataset_raises_format_error_or_reads_finite(blob):
+    try:
+        back = dio.deserialize_dataset(blob, _SMALL.schema)
+    except FormatError:
+        return
+    assert all(math.isfinite(v) for seq in back.sequences for ev in seq.events
+               for _, v in ev.entries)
