@@ -1,9 +1,9 @@
 """Hierarchical factorization machine for user event-sequence prediction.
 
 The package covers the full workflow: sparse feature schemas and event
-encoding (:mod:`nhfm.data`), a batched forward and backward engine
-(:mod:`nhfm.batched`) with a tape-differentiated per-window reference
-(:mod:`nhfm.model`, :mod:`nhfm.autodiff`), training with checkpoints
+encoding (:mod:`nhfm.data`), the model's configuration and parameters
+(:mod:`nhfm.model`), one batched forward and backward engine
+(:mod:`nhfm.batched`) that every command runs, training with checkpoints
 (:mod:`nhfm.training`, :mod:`nhfm.checkpoint`), AUC/partial-AUC evaluation
 (:mod:`nhfm.metrics`), weight- and attention-based explanation
 (:mod:`nhfm.explain`), and a CLI (:mod:`nhfm.cli`).

@@ -14,11 +14,11 @@ Every layer then runs once per batch:
   carries its state through the left padding;
 * the MLP, the wide term and the weighted NLL.
 
-Windows without history get zero attention and LSTM vectors, as the
-per-window tape in :mod:`nhfm.model` does. Backward passes are written by
-hand per layer; embedding and wide gradients are scattered into one dense
-buffer per batch. The tape stays the reference these functions are tested
-against.
+Windows without history get zero attention and LSTM vectors. Backward
+passes are written by hand per layer; embedding and wide gradients are
+scattered into one dense buffer per batch. This is the library's only
+engine: training, scoring, :func:`nhfm.model.forward`, the gradient check
+and the attention report all run it.
 """
 
 from __future__ import annotations

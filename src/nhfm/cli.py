@@ -40,7 +40,6 @@ DEFAULT_CONFIG: dict = {
         "kind": "synthetic",
         "t_max": 10,
         "ratios": [0.8, 0.1, 0.1],
-        "split_seed": 0,
         "synth": {},
         "synth_seed": 0,
         "movielens_dir": None,
@@ -253,8 +252,7 @@ def prepare_datasets(cfg: RunConfig):
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
 
-    return d.split(sequences, ratios, seed=int(ds_cfg.get("split_seed", 0)),
-                   schema=schema)
+    return d.split(sequences, ratios, schema=schema)
 
 
 def table_stats(datasets) -> str:

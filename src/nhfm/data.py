@@ -310,12 +310,9 @@ def split_counts(m: int, ratios: tuple[float, float, float]) -> tuple[int, int, 
 
 def split(sequences: Sequence[EventSequence],
           ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-          seed: int = 0,
           schema: FeatureSchema | None = None) -> tuple[Dataset, Dataset, Dataset]:
     """Per-user chronological split: earliest fraction to train, then valid,
-    then test. The outcome is deterministic; ``seed`` is accepted for
-    interface stability but the small-user rule leaves nothing random to
-    decide.
+    then test. Nothing in it is random.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")

@@ -96,7 +96,7 @@ class ByteReader:
         return _utf8(self.take(length, what), what)
 
 
-def _write_string(out: bytearray, s: str) -> None:
+def write_string(out: bytearray, s: str) -> None:
     raw = s.encode("utf-8")
     write_varint(out, len(raw))
     out.extend(raw)
@@ -109,7 +109,7 @@ def serialize_dataset(dataset: Dataset) -> bytes:
         t_max = dataset.sequences[0].t_max
     out = bytearray(DATASET_MAGIC)
     out.extend(dataset.schema.hash())
-    _write_string(out, dataset.split)
+    write_string(out, dataset.split)
     write_varint(out, t_max)
     write_varint(out, len(dataset.sequences))
     pack_f64 = _F64.pack
@@ -122,7 +122,7 @@ def serialize_dataset(dataset: Dataset) -> bytes:
         if seq.user != user:
             user = seq.user
             encoded.clear()
-        _write_string(out, user)
+        write_string(out, user)
         out.append(seq.label & 0xFF)
         real = [ev for ev, qt in zip(seq.events, seq.q) if qt == 1]
         write_varint(out, len(real))

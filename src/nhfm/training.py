@@ -1,11 +1,10 @@
 """Negative log-likelihood training: minibatch loop, SGD/Adam, early
 stopping on validation AUC, gradient verification, and divergence guards.
 
-Training and scoring run batched (:mod:`nhfm.batched`): each minibatch is
-packed into padded arrays and every layer runs once per batch with a
-hand-written backward pass. The per-window tape behind
-:func:`example_loss_and_grads` and :func:`grad_check_mode` is the
-reference those passes are tested against.
+Training, scoring and the gradient check all run batched
+(:mod:`nhfm.batched`): each minibatch is packed into padded arrays and
+every layer runs once per batch with a hand-written backward pass, so
+:func:`grad_check_mode` checks the backward that trains.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from . import batched
 from . import metrics as mt
 from .data import Dataset, EventSequence
 from .errors import NumericalError
-from .model import (ModelConfig, Parameters, forward, init_parameters,
-                    random_parameters)
+from .model import ModelConfig, Parameters, init_parameters, random_parameters
 
 
 @dataclass(frozen=True)
@@ -64,23 +62,14 @@ def nll_loss(logit: float, label: int) -> float:
     return float(np.logaddexp(0.0, logit) - label * logit)
 
 
-def nll_loss_var(logit_var: ad.Var, label: int, weight: float = 1.0) -> ad.Var:
-    """Tape-level fused loss for backpropagation."""
-    loss = ad.sub(ad.softplus(logit_var), ad.scale(logit_var, float(label)))
-    return ad.scale(loss, weight) if weight != 1.0 else loss
-
-
 def example_loss_and_grads(seq: EventSequence, params: Parameters,
                            config: ModelConfig,
                            pos_weight: float = 1.0
                            ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + backward for one sequence; gradients keyed by parameter name."""
-    cache = forward(seq, params, config)
-    weight = pos_weight if seq.label == 1 else 1.0
-    loss = nll_loss_var(cache.logit_var, seq.label, weight)
-    node_grads = ad.backward(cache.tape, loss)
-    grads = {name: node_grads[var.id] for name, var in cache.param_vars.items()}
-    return float(loss.value), grads
+    """Forward + backward for one sequence, as a batch of one; gradients
+    keyed by parameter name."""
+    batch = batched.pack([seq], batched.max_entries([seq]))
+    return batched.loss_and_grads(batch, params, config, pos_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +307,22 @@ def grad_check_mode(sequences: Sequence[EventSequence], n: int,
                     model_config: ModelConfig, seed: int = 0,
                     eps: float = 1e-5, tolerance: float = 1e-4
                     ) -> GradCheckReport:
-    """Finite-difference check of the full model loss on a small batch.
+    """Finite-difference check of the summed loss of ``sequences``, packed
+    as one batch, against the batched backward pass that trains.
 
     Parameters are drawn at O(1) scale (see ``random_parameters``) so ReLU
     and softmax paths are exercised away from non-differentiable points.
     """
     params = random_parameters(model_config, n, seed)
+    batch = batched.pack(sequences, batched.max_entries(sequences))
 
     def total_loss(arrays: Mapping[str, np.ndarray]) -> float:
-        p = Parameters(dict(arrays))
-        return sum(nll_loss(forward(s, p, model_config).logit, s.label)
-                   for s in sequences)
+        logits = batched.logits(batch, Parameters(dict(arrays)), model_config)
+        return sum(nll_loss(z, s.label) for z, s in zip(logits, sequences))
 
-    analytic = {name: np.zeros_like(v) for name, v in params.items()}
-    for seq in sequences:
-        _, grads = example_loss_and_grads(seq, params, model_config)
-        for name, g in grads.items():
-            analytic[name] += g
+    _, grads = batched.loss_and_grads(batch, params, model_config)
+    # loss_and_grads gives the batch mean
+    analytic = {name: g * len(sequences) for name, g in grads.items()}
 
     report = ad.finite_diff_errors(total_loss, dict(params.items()),
                                    analytic, eps=eps)

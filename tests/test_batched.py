@@ -1,12 +1,14 @@
-"""The batched engine against the per-window tape, and the invariants its
-scores must keep: batchmates, position in a scoring chunk and the amount
-of left padding do not change a window's score."""
+"""The batched engine against the per-window tape oracle
+(``tape_oracle``), and the invariants its scores must keep: batchmates,
+position in a scoring chunk and the amount of left padding do not change
+a window's score."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tape_oracle as to
 from nhfm import batched as bt
 from nhfm import data as d
 from nhfm import model as m
@@ -66,14 +68,14 @@ def test_logits_and_gradients_match_the_tape(variant, pos_weight):
     params = m.random_parameters(config, N_FEATURES, seed=5)
     batch = bt.pack(windows, bt.max_entries(windows))
 
-    tape_logits = np.array([m.forward(s, params, config).logit for s in windows])
+    tape_logits = np.array([to.forward(s, params, config).logit for s in windows])
     assert np.all(close(bt.logits(batch, params, config), tape_logits, 1e-10))
 
     loss, grads = bt.loss_and_grads(batch, params, config, pos_weight)
     tape_loss = 0.0
     tape_grads = {name: np.zeros_like(v) for name, v in params.items()}
     for seq in windows:
-        one_loss, one_grads = tr.example_loss_and_grads(seq, params, config, pos_weight)
+        one_loss, one_grads = to.example_loss_and_grads(seq, params, config, pos_weight)
         tape_loss += one_loss
         for name, g in one_grads.items():
             tape_grads[name] += g
@@ -86,13 +88,36 @@ def test_logits_and_gradients_match_the_tape(variant, pos_weight):
         assert np.any(grads[name] != 0), name
 
 
+@pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
+def test_one_window_calls_match_the_tape(variant):
+    rng = np.random.default_rng(23)
+    windows = [random_window(rng, n) for n in (0, 1, 2, T_MAX - 1)]
+    config = m.ModelConfig(variant=variant, k=4, h=3, mlp_widths=(5, 3, 1), t_max=T_MAX)
+    params = m.random_parameters(config, N_FEATURES, seed=9)
+    for seq in windows:
+        got, want = m.forward(seq, params, config), to.forward(seq, params, config)
+        assert close(got.logit, want.logit, 1e-10)
+        assert close(got.y_hat, want.y_hat, 1e-10)
+        assert got.history_slots == want.history_slots
+        if want.att_weights is None:
+            assert got.att_weights is None
+        else:
+            assert np.all(close(got.att_weights, want.att_weights, 1e-10))
+        loss, grads = tr.example_loss_and_grads(seq, params, config, 2.0)
+        tape_loss, tape_grads = to.example_loss_and_grads(seq, params, config, 2.0)
+        assert close(loss, tape_loss, 1e-10)
+        assert grads.keys() == tape_grads.keys()
+        for name, g in tape_grads.items():
+            assert np.all(close(grads[name], g, 1e-10)), name
+
+
 def test_windows_without_history_slots():
     rng = np.random.default_rng(4)
     windows = [random_window(rng, 0, t_max=1) for _ in range(4)]
     config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=1)
     params = m.random_parameters(config, N_FEATURES, seed=6)
     batch = bt.pack(windows, N_FIELDS)
-    tape_logits = np.array([m.forward(s, params, config).logit for s in windows])
+    tape_logits = np.array([to.forward(s, params, config).logit for s in windows])
     assert np.all(close(bt.logits(batch, params, config), tape_logits, 1e-10))
     _, grads = bt.loss_and_grads(batch, params, config)
     assert not np.any(grads["lstm.fwd.Wi"]) and not np.any(grads["attn.F1.W"])

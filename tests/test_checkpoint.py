@@ -1,10 +1,12 @@
-"""Checkpoint round-trips and framing errors."""
+"""Checkpoint round-trips, framing errors and corrupt files."""
 
 import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhfm import checkpoint as cp
 from nhfm import model as m
@@ -13,8 +15,7 @@ from nhfm import training as tr
 from nhfm.errors import CheckpointError
 
 
-@pytest.fixture
-def checkpoint():
+def _checkpoint():
     spec = syn.SynthSpec(n_users=5, t_max=4)
     schema = syn.synth_schema(spec)
     config = m.ModelConfig(variant="full", k=3, h=2, mlp_widths=(4, 1), t_max=4)
@@ -24,6 +25,11 @@ def checkpoint():
     state.m["embed.V"] += 0.25
     meta = {"epoch": 7, "seed": 11, "metric_history": [0.6, 0.65, 0.7]}
     return cp.Checkpoint(config, schema.hash(), params, state, meta), schema
+
+
+@pytest.fixture
+def checkpoint():
+    return _checkpoint()
 
 
 class TestRoundTrip:
@@ -127,3 +133,52 @@ class TestSchemaGuard:
         ck.model_config = dataclasses.replace(ck.model_config, mlp_widths=(4, 2))
         with pytest.raises(CheckpointError, match="invalid model config"):
             ck.require_schema(schema)
+
+
+class TestNonFiniteBlobs:
+    @pytest.mark.parametrize("table", ["params", "m", "v"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_naming_the_blob(self, tmp_path, checkpoint, table, value):
+        ck, _ = checkpoint
+        arrays = ck.params if table == "params" else getattr(ck.opt_state, table)
+        bad = arrays["attn.F2.W"].copy()
+        bad[1, 0] = value
+        arrays["attn.F2.W"] = bad
+        path = tmp_path / "model.nhfmck"
+        cp.save_checkpoint(ck, path)
+        name = "attn.F2.W" if table == "params" else f"{table}:attn.F2.W"
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"blob {name} holds a non-finite value")):
+            cp.load_checkpoint(path)
+
+
+_FUZZ_CK, _FUZZ_SCHEMA = _checkpoint()
+_FUZZ_BLOB = cp.serialize_checkpoint(_FUZZ_CK)
+
+
+def _flip(spot):
+    pos, bit = spot
+    blob = bytearray(_FUZZ_BLOB)
+    blob[pos] ^= 1 << bit
+    return bytes(blob)
+
+
+@given(st.one_of(
+    st.integers(0, len(_FUZZ_BLOB) - 1).map(lambda n: _FUZZ_BLOB[:n]),
+    st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(0, 7)).map(_flip)))
+@settings(max_examples=300, deadline=None)
+def test_corrupt_checkpoint_raises_checkpoint_error_or_loads_finite(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.nhfmck"
+    path.write_bytes(blob)
+    try:
+        ck = cp.load_checkpoint(path)
+    except CheckpointError:
+        return
+    tables = [dict(ck.params.items())]
+    if ck.opt_state is not None:
+        tables += [ck.opt_state.m, ck.opt_state.v]
+    assert all(np.all(np.isfinite(arr)) for table in tables for arr in table.values())
+    try:
+        ck.require_schema(_FUZZ_SCHEMA)
+    except CheckpointError:
+        pass

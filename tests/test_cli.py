@@ -6,9 +6,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nhfm
+from nhfm import batched as bt
 from nhfm import checkpoint as cp
 from nhfm import model as m
 from nhfm.cli import DEFAULT_CONFIG, RunConfig, ingest_generic, main
@@ -161,6 +163,17 @@ class TestEvalExplain:
         assert run_cli("eval", "--config", config) == 2
         assert "embed.V has shape (5, 3)" in capsys.readouterr().err
 
+    def test_eval_rejects_a_non_finite_parameter(self, trained, capsys):
+        config, out = trained
+        path = out / "seed-1" / "checkpoint.nhfmck"
+        ck = cp.load_checkpoint(path)
+        bad = ck.params["embed.V"].copy()
+        bad[0, 0] = np.nan
+        ck.params["embed.V"] = bad
+        cp.save_checkpoint(ck, path)
+        assert run_cli("eval", "--config", config) == 2
+        assert "blob embed.V holds a non-finite value" in capsys.readouterr().err
+
     def test_explain_writes_rankings_and_reports(self, trained):
         config, out = trained
         assert run_cli("explain", "--config", config, "--count", "5") == 0
@@ -218,6 +231,19 @@ class TestGradcheckCommand:
         assert "gradient check passed" in printed
         assert "worst:" in printed
 
+    def test_checks_the_batched_backward(self, monkeypatch, capsys):
+        true_backward = bt._mlp_backward
+
+        def scaled_backward(dout, cache, params, grads):
+            dx = true_backward(dout, cache, params, grads)
+            grads["mlp.0.W"] = 1.05 * grads["mlp.0.W"]
+            return dx
+
+        monkeypatch.setattr(bt, "_mlp_backward", scaled_backward)
+        assert run_cli("gradcheck") == 3
+        printed = capsys.readouterr().out
+        assert "FAIL mlp.0.W" in printed
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -244,3 +270,19 @@ def test_importing_the_cli_does_not_import_scipy():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_the_library_builds_no_tape():
+    # every module of the package, after the CLI's own imports: the batched
+    # engine is the only one, and the tape lives only in the tests
+    src = os.path.dirname(os.path.dirname(nhfm.__file__))
+    code = ("import importlib, pkgutil, sys, nhfm.cli\n"
+            "for info in pkgutil.iter_modules(nhfm.__path__):\n"
+            "    importlib.import_module('nhfm.' + info.name)\n"
+            "print(sorted(f'{n}.{a}' for n, mod in sys.modules.items() if n.startswith('nhfm')\n"
+            "             for a in ('Tape', 'Var', 'Node', 'backward') if hasattr(mod, a)),\n"
+            "      'nhfm.autodiff' in sys.modules, 'tape_oracle' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] True False"

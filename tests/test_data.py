@@ -167,8 +167,8 @@ class TestSplit:
 
     def test_deterministic(self, schema):
         seqs = _toy_sequences(schema, 10) + _toy_sequences(schema, 4, user="v")
-        a = d.split(seqs, seed=7, schema=schema)
-        b = d.split(seqs, seed=7, schema=schema)
+        a = d.split(seqs, schema=schema)
+        b = d.split(seqs, schema=schema)
         for da, db in zip(a, b):
             assert da.sequences == db.sequences
 

@@ -1,13 +1,16 @@
-"""Model branch tests against brute-force oracles: pairwise double sums for
-the interaction pools, a plain-loop reimplementation of the attention
-formula, and a scalar LSTM recurrence."""
+"""Model tests. The branch tests check the tape oracle (``tape_oracle``),
+which the batched engine is compared with, against brute-force oracles:
+pairwise double sums for the interaction pools, a plain-loop
+reimplementation of the attention formula, and a scalar LSTM recurrence.
+The forward tests run the shipped one-window ``forward`` where they read
+only what it returns, and the tape where they read inner vectors."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nhfm import autodiff as ad
+import tape_oracle as to
 from nhfm import data as d
 from nhfm import model as m
 from nhfm import synthetic as syn
@@ -64,56 +67,56 @@ class TestEmbedEvent:
     def test_unit_value_returns_row(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(5, 3))
-        t = ad.Tape()
+        t = to.Tape()
         ev = d.Event(((2, 1.0),))
-        u = m.embed_event(t, ev, t.leaf(v), 3)
+        u = to.embed_event(t, ev, t.leaf(v), 3)
         np.testing.assert_array_equal(u.value, v[[2]])
 
     def test_value_rescales_row(self):
-        t = ad.Tape()
+        t = to.Tape()
         v = np.array([[2.0, 4.0]])
-        u = m.embed_event(t, d.Event(((0, 0.5),)), t.leaf(v), 2)
+        u = to.embed_event(t, d.Event(((0, 0.5),)), t.leaf(v), 2)
         np.testing.assert_array_equal(u.value, [[1.0, 2.0]])
 
     def test_empty_event(self):
-        t = ad.Tape()
-        assert m.embed_event(t, d.Event(), t.leaf(np.zeros((3, 2))), 2) is None
+        t = to.Tape()
+        assert to.embed_event(t, d.Event(), t.leaf(np.zeros((3, 2))), 2) is None
 
 
 class TestEventFM:
     def test_single_feature_gives_zero(self):
-        t = ad.Tape()
+        t = to.Tape()
         u = t.leaf([[1.0, 2.0]])
-        np.testing.assert_array_equal(m.event_fm(t, u, 2).value, [0.0, 0.0])
+        np.testing.assert_array_equal(to.event_fm(t, u, 2).value, [0.0, 0.0])
 
     def test_empty_gives_zero(self):
-        t = ad.Tape()
-        np.testing.assert_array_equal(m.event_fm(t, None, 4).value, np.zeros(4))
+        t = to.Tape()
+        np.testing.assert_array_equal(to.event_fm(t, None, 4).value, np.zeros(4))
 
     def test_single_pair(self):
-        t = ad.Tape()
+        t = to.Tape()
         u = t.leaf([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(m.event_fm(t, u, 2).value, [3.0, 8.0])
+        np.testing.assert_allclose(to.event_fm(t, u, 2).value, [3.0, 8.0])
 
     def test_matches_double_sum(self):
         rng = np.random.default_rng(1)
         rows = rng.uniform(-2, 2, (6, 4))
-        t = ad.Tape()
-        got = m.event_fm(t, t.leaf(rows), 4).value
+        t = to.Tape()
+        got = to.event_fm(t, t.leaf(rows), 4).value
         want = pairwise_hadamard_oracle(list(rows))
         assert np.max(np.abs(got - want)) < 1e-10
 
 
 class TestSequenceFM:
     def test_one_real_event_gives_zero(self):
-        t = ad.Tape()
+        t = to.Tape()
         vecs = [t.leaf([1.0, 2.0])]
-        np.testing.assert_array_equal(m.sequence_fm(t, vecs, 2).value, [0.0, 0.0])
+        np.testing.assert_array_equal(to.sequence_fm(t, vecs, 2).value, [0.0, 0.0])
 
     def test_disjoint_supports(self):
-        t = ad.Tape()
+        t = to.Tape()
         vecs = [t.leaf([1.0, 0.0]), t.leaf([0.0, 1.0])]
-        np.testing.assert_array_equal(m.sequence_fm(t, vecs, 2).value, [0.0, 0.0])
+        np.testing.assert_array_equal(to.sequence_fm(t, vecs, 2).value, [0.0, 0.0])
 
     def test_masked_oracle(self):
         # five slots, two masked: the pool must see only the real three
@@ -121,8 +124,8 @@ class TestSequenceFM:
         all_vecs = rng.uniform(-2, 2, (5, 3))
         q = [1, 0, 1, 0, 1]
         real = [all_vecs[i] for i in range(5) if q[i]]
-        t = ad.Tape()
-        got = m.sequence_fm(t, [t.leaf(v) for v in real], 3).value
+        t = to.Tape()
+        got = to.sequence_fm(t, [t.leaf(v) for v in real], 3).value
         masked = [q[i] * all_vecs[i] for i in range(5)]
         want = pairwise_hadamard_oracle(masked)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -130,9 +133,9 @@ class TestSequenceFM:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         vecs = rng.uniform(-1, 1, (4, 3))
-        t1, t2 = ad.Tape(), ad.Tape()
-        a = m.sequence_fm(t1, [t1.leaf(v) for v in vecs], 3).value
-        b = m.sequence_fm(t2, [t2.leaf(v) for v in vecs[::-1]], 3).value
+        t1, t2 = to.Tape(), to.Tape()
+        a = to.sequence_fm(t1, [t1.leaf(v) for v in vecs], 3).value
+        b = to.sequence_fm(t2, [t2.leaf(v) for v in vecs[::-1]], 3).value
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -146,10 +149,10 @@ def _attn_params(rng, k):
 
 class TestSelfImportance:
     def _run(self, history, params, k):
-        t = ad.Tape()
+        t = to.Tape()
         pv = {name: t.leaf(v) for name, v in params.items()}
         vecs = [t.leaf(e) for e in history]
-        s_self, logits, weights = m.self_importance(t, vecs, pv, k)
+        s_self, logits, weights = to.self_importance(t, vecs, pv, k)
         return s_self.value, logits.value, weights.value
 
     def test_single_event_takes_all_weight(self):
@@ -192,11 +195,11 @@ class TestSelfImportance:
             assert np.all(weights > 0)
 
     def test_empty_history_rejected(self):
-        t = ad.Tape()
+        t = to.Tape()
         rng = np.random.default_rng(8)
         pv = {name: t.leaf(v) for name, v in _attn_params(rng, 3).items()}
         with pytest.raises(ValueError, match="no real history"):
-            m.self_importance(t, [], pv, 3)
+            to.self_importance(t, [], pv, 3)
 
     def test_extreme_parameters_keep_weights_normalized(self):
         # the max-shifted softmax keeps a probability vector even when the
@@ -225,10 +228,10 @@ def _lstm_params(values: dict[str, dict[str, float]]):
 
 class TestBiLSTM:
     def _run(self, history, params, h):
-        t = ad.Tape()
+        t = to.Tape()
         pv = {name: t.leaf(v) for name, v in params.items()}
         vecs = [t.leaf(e) for e in history]
-        return m.bilstm(t, vecs, pv, h).value
+        return to.bilstm(t, vecs, pv, h).value
 
     def test_all_zero_parameters_give_zero_state(self):
         zeros = {d_: {f"{w}{g}": 0.0 for w in "WUb" for g in "ifgo"}
@@ -280,9 +283,9 @@ class TestBiLSTM:
 
 class TestWide:
     def _run(self, seq, w, b):
-        t = ad.Tape()
+        t = to.Tape()
         pv = {"wide.w": t.leaf(w), "wide.b": t.leaf(b)}
-        return float(m.wide_term(t, seq, pv).value)
+        return float(to.wide_term(t, seq, pv).value)
 
     def test_empty_events_give_bias(self):
         seq = d.EventSequence([d.Event(), d.Event()], [0, 1], 0, "u")
@@ -329,7 +332,7 @@ class TestForward:
     def test_zero_history_uses_zero_branches(self, setup):
         ds, config, params = setup
         seq = next(s for s in ds.sequences if not s.history_positions())
-        cache = m.forward(seq, params, config)
+        cache = to.forward(seq, params, config)
         np.testing.assert_array_equal(cache.s_alpha, np.zeros(4))
         np.testing.assert_array_equal(cache.s_self, np.zeros(4))
         np.testing.assert_array_equal(cache.s_rnn, np.zeros(3))
@@ -354,7 +357,7 @@ class TestForward:
             config = m.ModelConfig(variant=variant, k=k, h=h,
                                    mlp_widths=(6, 1), t_max=5)
             params = m.init_parameters(config, ds.schema.n, seed=0)
-            cache = m.forward(seq, params, config)
+            cache = to.forward(seq, params, config)
             assert cache.s.shape == (width,)
             assert config.mlp_input_width() == width
 
@@ -372,7 +375,7 @@ class TestForward:
     def test_history_permutation_leaves_alpha_and_attention_unchanged(self, setup):
         ds, config, params = setup
         seq = next(s for s in ds.sequences if len(s.history_positions()) >= 3)
-        cache = m.forward(seq, params, config)
+        cache = to.forward(seq, params, config)
 
         hist = seq.history_positions()
         perm = list(reversed(hist))
@@ -380,7 +383,7 @@ class TestForward:
         for src, dst in zip(hist, perm):
             events[dst] = seq.events[src]
         permuted = d.EventSequence(events, list(seq.q), seq.label, seq.user)
-        cache_p = m.forward(permuted, params, config)
+        cache_p = to.forward(permuted, params, config)
 
         np.testing.assert_allclose(cache_p.s_alpha, cache.s_alpha, atol=1e-10)
         np.testing.assert_allclose(sorted(cache_p.att_weights),
@@ -422,19 +425,19 @@ class TestFullModelGradients:
             p = m.Parameters(dict(arrays))
             total = 0.0
             for seq in seqs:
-                cache = m.forward(seq, p, config)
+                cache = to.forward(seq, p, config)
                 z = cache.logit
                 total += float(np.logaddexp(0.0, z) - seq.label * z)
             return total
 
         analytic = {name: np.zeros_like(v) for name, v in params.items()}
         for seq in seqs:
-            cache = m.forward(seq, params, config)
+            cache = to.forward(seq, params, config)
             z = cache.logit_var
-            loss = ad.sub(ad.softplus(z), ad.scale(z, float(seq.label)))
-            grads = ad.backward(cache.tape, loss)
+            loss = to.sub(to.softplus(z), to.scale(z, float(seq.label)))
+            grads = to.backward(cache.tape, loss)
             for name, var in cache.param_vars.items():
                 analytic[name] += grads[var.id]
 
-        err = ad.finite_diff_check(loss_given, dict(params.items()), analytic)
+        err = to.finite_diff_check(loss_given, dict(params.items()), analytic)
         assert err < 1e-4

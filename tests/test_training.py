@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nhfm import autodiff as ad
+import tape_oracle as to
+from nhfm import batched as bt
 from nhfm import data as d
 from nhfm import model as m
 from nhfm import synthetic as syn
@@ -40,9 +41,9 @@ class TestNLLLoss:
         assert math.isfinite(tr.nll_loss(-5000.0, 1))
 
     def test_tape_version_agrees(self):
-        t = ad.Tape()
+        t = to.Tape()
         z = t.leaf(1.3)
-        var = tr.nll_loss_var(z, 1)
+        var = to.nll_loss_var(z, 1)
         assert abs(float(var.value) - tr.nll_loss(1.3, 1)) < 1e-15
 
 
@@ -202,7 +203,7 @@ class TestGradCheckMode:
         report = tr.grad_check_mode([zero], ds.schema.n, config, seed=8)
         assert report.passed(), report.lines()
 
-    def test_corrupted_hadamard_flags_embeddings(self, setup, monkeypatch):
+    def test_corrupted_fm_pool_backward_flags_embeddings(self, setup, monkeypatch):
         ds, config, probe = setup
         # precondition: the probe actually exercises the embedding table
         # (dead ReLUs can cut it off, which would hide the fault)
@@ -213,16 +214,15 @@ class TestGradCheckMode:
             live += grads["embed.V"]
         assert np.max(np.abs(live)) > 1e-6
 
-        true_hadamard = ad.hadamard
+        true_pool = bt._fm_pool
 
-        def broken_hadamard(a, b):
-            out = true_hadamard(a, b)
-            node = out.tape.nodes[out.id]
-            true_vjp = node.vjp
-            node.vjp = lambda g: tuple(1.05 * x for x in true_vjp(g))
-            return out
+        def broken_pool(u, axis):
+            # the pooled value stays right, so the loss does too; only the
+            # backward pass reads the saved sum
+            pooled, total = true_pool(u, axis)
+            return pooled, 1.05 * total
 
-        monkeypatch.setattr(ad, "hadamard", broken_hadamard)
+        monkeypatch.setattr(bt, "_fm_pool", broken_pool)
         report = tr.grad_check_mode(probe, ds.schema.n, config, seed=8)
         assert not report.passed()
         err, _ = report.per_group["embed.V"]
