@@ -21,12 +21,6 @@ def as_tensor(x) -> Array:
     return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
 
 
-def assert_finite(x: Array, name: str = "tensor") -> None:
-    """Raise if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"{name} contains NaN/Inf")
-
-
 def sigmoid_values(x: Array) -> Array:
     # two-branch form avoids exp overflow warnings for large |x|
     out = np.empty_like(x)

@@ -91,15 +91,8 @@ def _read_blob(r: ByteReader) -> tuple[str, np.ndarray]:
     shape = tuple(r.varint("dim") for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
     raw = r.take(8 * count, f"data for {name}")
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return name, arr
-
-
-def _require_finite(blobs: list[tuple[str, np.ndarray]]) -> None:
-    # one pass over all blobs: a check per blob costs about ten times more
-    if blobs and not np.isfinite(np.concatenate([arr.ravel() for _, arr in blobs])).all():
-        name = next(name for name, arr in blobs if not np.isfinite(arr).all())
-        raise CheckpointError(f"blob {name} holds a non-finite value")
+    # a read-only view of the file; Parameters copies it into its vector
+    return name, np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def serialize_checkpoint(ck: Checkpoint) -> bytes:
@@ -152,25 +145,30 @@ def deserialize_checkpoint(blob: bytes) -> Checkpoint:
     schema_hash = r.take(32, "schema hash")
 
     n_params = r.varint("parameter count")
-    blobs = [_read_blob(r) for _ in range(n_params)]
-    params = Parameters(dict(blobs))
+    params = Parameters(dict(_read_blob(r) for _ in range(n_params)))
 
     kind = r.string("optimizer kind")
     step = r.varint("optimizer step")
     n_state = r.varint("optimizer blob count")
     opt_state: OptimizerState | None = None
+    tables = {"": params}
     if kind != "none":
-        opt_state = OptimizerState(kind, step)
+        m: dict[str, np.ndarray] = {}
+        v: dict[str, np.ndarray] = {}
         for _ in range(n_state):
             name, arr = _read_blob(r)
-            blobs.append((name, arr))
             prefix, _, pname = name.partition(":")
-            (opt_state.m if prefix == "m" else opt_state.v)[pname] = arr
+            (m if prefix == "m" else v)[pname] = arr
+        opt_state = OptimizerState(kind, step, Parameters(m), Parameters(v))
+        tables.update({"m:": opt_state.m, "v:": opt_state.v})
 
     metadata = _read_json_block(r, "metadata")
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after metadata")
-    _require_finite(blobs)
+    for prefix, table in tables.items():
+        if not np.isfinite(table.flat).all():
+            name = next(n for n, arr in table.items() if not np.isfinite(arr).all())
+            raise CheckpointError(f"blob {prefix}{name} holds a non-finite value")
     return Checkpoint(model_config, schema_hash, params, opt_state, metadata)
 
 
@@ -179,7 +177,10 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     try:
         return deserialize_checkpoint(blob)
     except CheckpointError:

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,15 +92,92 @@ def _apply_override(cfg: dict, dotted: str) -> None:
     node[keys[-1]] = value
 
 
+def _checked(what: str, build):
+    """``build()``, with a bad or missing config value reported as a
+    ``DataError`` naming ``what``."""
+    try:
+        return build()
+    except KeyError as exc:
+        raise DataError(f"invalid {what}: missing key {exc}") from None
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise DataError(f"invalid {what}: {exc}") from None
+
+
+def _seed(raw) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {raw}")
+    return seed
+
+
+def _seeds(raw) -> list[int]:
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a list of seeds, got {raw!r}")
+    seeds = [_seed(s) for s in raw]
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be non-empty and distinct, got {raw}")
+    return seeds
+
+
+def _ratios(raw) -> tuple[float, float, float]:
+    train, valid, test = (float(r) for r in raw)
+    if not (train > 0 and valid >= 0 and test >= 0
+            and abs(train + valid + test - 1.0) <= 1e-9):
+        raise ValueError(f"need three shares >= 0 summing to 1 with train > 0, got {raw}")
+    return train, valid, test
+
+
+def _fpr_ceiling(raw) -> float:
+    ceiling = float(raw)
+    if not 0.0 < ceiling <= 1.0:
+        raise ValueError(f"must be in (0, 1], got {raw}")
+    return ceiling
+
+
+def _model_config(mc: dict, t_max) -> ModelConfig:
+    config = ModelConfig(variant=mc["variant"], k=int(mc["k"]), h=int(mc["h"]),
+                         mlp_widths=tuple(int(w) for w in mc["mlp_widths"]),
+                         t_max=int(t_max))
+    config.validate()
+    return config
+
+
+def _train_config(tc: dict, seed: int) -> tr.TrainConfig:
+    config = tr.TrainConfig(
+        optimizer=tc["optimizer"],
+        learning_rate=float(tc["learning_rate"]),
+        batch_size=int(tc["batch_size"]),
+        max_epochs=int(tc["max_epochs"]),
+        patience=int(tc["patience"]),
+        seed=seed,
+        grad_clip_norm=(None if tc.get("grad_clip_norm") is None
+                        else float(tc["grad_clip_norm"])),
+        eval_every=int(tc.get("eval_every", 1)),
+        pos_weight=float(tc.get("pos_weight", 1.0)),
+    )
+    config.validate()
+    return config
+
+
 class RunConfig:
-    """Effective configuration: file contents over defaults, then overrides."""
+    """Effective configuration: file contents over defaults, then overrides.
+
+    The model and train configs, seeds, split ratios and FPR ceiling are
+    built and checked here, once, so a bad value is a ``DataError`` before
+    any command starts work.
+    """
 
     def __init__(self, raw: dict, source_text: str | None = None):
         self.raw = raw
         self.source_text = source_text
-        seeds = raw["seeds"]
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise DataError(f"seeds must be non-empty and distinct, got {seeds}")
+        self.out_dir = _checked("out_dir", lambda: Path(raw["out_dir"]))
+        self.seeds = _checked("seeds", lambda: _seeds(raw["seeds"]))
+        self.fpr_ceiling = _checked("fpr_ceiling", lambda: _fpr_ceiling(raw["fpr_ceiling"]))
+        self._ratios = _checked("dataset.ratios", lambda: _ratios(raw["dataset"]["ratios"]))
+        self._model = _checked("model config", lambda: _model_config(
+            raw["model"], raw["dataset"]["t_max"]))
+        self._train = _checked("train config", lambda: _train_config(
+            raw["train"], self.seeds[0]))
 
     @classmethod
     def load(cls, config_path: str | None, overrides: tuple[str, ...],
@@ -112,6 +190,8 @@ class RunConfig:
                 loaded = json.loads(source_text)
             except json.JSONDecodeError as exc:
                 raise DataError(f"config {config_path} is not valid JSON: {exc}")
+            if not isinstance(loaded, dict):
+                raise DataError(f"config {config_path} must hold a JSON object")
             cfg = _deep_merge(cfg, loaded)
         for dotted in overrides:
             _apply_override(cfg, dotted)
@@ -119,42 +199,14 @@ class RunConfig:
             cfg["out_dir"] = out_dir
         return cls(cfg, source_text)
 
-    @property
-    def out_dir(self) -> Path:
-        return Path(self.raw["out_dir"])
-
-    @property
-    def seeds(self) -> list[int]:
-        return [int(s) for s in self.raw["seeds"]]
-
-    @property
-    def fpr_ceiling(self) -> float:
-        return float(self.raw["fpr_ceiling"])
-
     def model_config(self) -> ModelConfig:
-        mc = self.raw["model"]
-        return ModelConfig(variant=mc["variant"], k=int(mc["k"]), h=int(mc["h"]),
-                           mlp_widths=tuple(int(w) for w in mc["mlp_widths"]),
-                           t_max=int(self.raw["dataset"]["t_max"]))
+        return self._model
 
     def train_config(self, seed: int) -> tr.TrainConfig:
-        tc = self.raw["train"]
-        return tr.TrainConfig(
-            optimizer=tc["optimizer"],
-            learning_rate=float(tc["learning_rate"]),
-            batch_size=int(tc["batch_size"]),
-            max_epochs=int(tc["max_epochs"]),
-            patience=int(tc["patience"]),
-            seed=seed,
-            grad_clip_norm=(None if tc.get("grad_clip_norm") is None
-                            else float(tc["grad_clip_norm"])),
-            eval_every=int(tc.get("eval_every", 1)),
-            pos_weight=float(tc.get("pos_weight", 1.0)),
-        )
+        return dataclasses.replace(self._train, seed=seed)
 
     def ratios(self) -> tuple[float, float, float]:
-        r = self.raw["dataset"]["ratios"]
-        return float(r[0]), float(r[1]), float(r[2])
+        return self._ratios
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +266,12 @@ def ingest_generic(path) -> list[dict]:
     return records
 
 
+def _synth_spec(synth_cfg: dict) -> syn.SynthSpec:
+    spec = syn.SynthSpec(**synth_cfg)
+    spec.validate()
+    return spec
+
+
 def prepare_datasets(cfg: RunConfig):
     """Build (train, valid, test) datasets per the config's dataset section."""
     ds_cfg = cfg.raw["dataset"]
@@ -222,14 +280,15 @@ def prepare_datasets(cfg: RunConfig):
     ratios = cfg.ratios()
 
     if kind == "synthetic":
-        synth_cfg = dict(ds_cfg.get("synth") or {})
+        synth_cfg = _checked("dataset.synth", lambda: dict(ds_cfg.get("synth") or {}))
         if synth_cfg.get("t_max", t_max) != t_max:
             raise DataError(
                 f"dataset.synth.t_max={synth_cfg['t_max']} conflicts with "
                 f"dataset.t_max={t_max}")
         synth_cfg["t_max"] = t_max
-        spec = syn.SynthSpec(**synth_cfg)
-        full = syn.synth_generate(spec, seed=int(ds_cfg.get("synth_seed", 0)))
+        spec = _checked("dataset.synth", lambda: _synth_spec(synth_cfg))
+        seed = _checked("dataset.synth_seed", lambda: _seed(ds_cfg.get("synth_seed", 0)))
+        full = syn.synth_generate(spec, seed=seed)
         schema = full.schema
         sequences = full.sequences
     elif kind == "movielens":
@@ -369,7 +428,7 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
     """Train one checkpoint per seed and aggregate test metrics."""
     cfg = RunConfig.load(config_path, overrides, out_dir)
     if seeds_flag is not None:
-        cfg.raw["seeds"] = [int(s) for s in seeds_flag.split(",") if s]
+        cfg.raw["seeds"] = [s for s in seeds_flag.split(",") if s]
     elif seed_flag is not None:
         cfg.raw["seeds"] = [seed_flag]
     if variant is not None:
@@ -386,11 +445,11 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
         seed_dir = out / f"seed-{seed}"
         if seed_dir.exists() and any(seed_dir.iterdir()) and not force:
             raise click.UsageError(f"{seed_dir} is not empty; pass --force")
-        seed_dir.mkdir(parents=True, exist_ok=True)
 
         log_lines: list[str] = []
         result = tr.train(splits["train"], splits["valid"], model_config,
                           cfg.train_config(seed), log_fn=log_lines.append)
+        seed_dir.mkdir(parents=True, exist_ok=True)
         (seed_dir / "train_log.txt").write_text("\n".join(log_lines) + "\n",
                                                 encoding="utf-8")
         ck = cp.Checkpoint(
@@ -442,7 +501,10 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
 def eval_cmd(config_path, out_dir, overrides, split_tag, baseline_dir, fpr_ceiling):
     """Score trained checkpoints on a split; t-test against a baseline run."""
     cfg = RunConfig.load(config_path, overrides, out_dir)
-    ceiling = fpr_ceiling if fpr_ceiling is not None else cfg.fpr_ceiling
+    if fpr_ceiling is not None:
+        cfg.raw["fpr_ceiling"] = fpr_ceiling
+        cfg = RunConfig(cfg.raw, cfg.source_text)
+    ceiling = cfg.fpr_ceiling
     out = cfg.out_dir
     schema, splits = _load_run_data(out)
     dataset = splits[split_tag]
@@ -461,12 +523,15 @@ def eval_cmd(config_path, out_dir, overrides, split_tag, baseline_dir, fpr_ceili
     baseline = None
     baseline_name = "baseline"
     if baseline_dir is not None:
-        base_summary = json.loads(
-            (Path(baseline_dir) / "summary.json").read_text(encoding="utf-8"))
-        baseline = {
-            "auc": list(base_summary["metrics"]["auc"].values()),
-            f"spauc@{ceiling:g}": list(base_summary["metrics"]["spauc"].values()),
-        }
+        summary_path = Path(baseline_dir) / "summary.json"
+        try:
+            base = json.loads(summary_path.read_text(encoding="utf-8"))["metrics"]
+            baseline = {
+                "auc": [float(v) for v in base["auc"].values()],
+                f"spauc@{ceiling:g}": [float(v) for v in base["spauc"].values()],
+            }
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"cannot read baseline {summary_path}: {exc!r}") from None
         baseline_name = str(baseline_dir)
 
     text = mt.render_metric_report(
@@ -484,17 +549,17 @@ def gradcheck(config_path, overrides):
     """Finite-difference check of the full model at tiny dimensions."""
     cfg = RunConfig.load(config_path, overrides)
     gc = cfg.raw["gradcheck"]
+    config = _checked("gradcheck config", lambda: _model_config(
+        {"variant": "full", "k": gc["k"], "h": gc["h"], "mlp_widths": (3, 1)}, 5))
+    seed = _checked("gradcheck config", lambda: _seed(gc["seed"]))
     spec = syn.SynthSpec(n_users=12, n_fields=3, vocab_size=3,
                          len_min=2, len_max=6, t_max=5)
     ds = syn.synth_generate(spec, seed=23)
-    config = ModelConfig(variant="full", k=int(gc["k"]), h=int(gc["h"]),
-                         mlp_widths=(3, 1), t_max=5)
     multi = [s for s in ds.sequences if len(s.history_positions()) >= 3]
     single = next(s for s in ds.sequences if len(s.history_positions()) == 1)
     zero = next(s for s in ds.sequences if not s.history_positions())
     probe = [multi[0], multi[1], single, zero]
-    report = tr.grad_check_mode(probe, ds.schema.n, config,
-                                seed=int(gc["seed"]))
+    report = tr.grad_check_mode(probe, ds.schema.n, config, seed=seed)
     for line in report.lines():
         click.echo(line)
     if not report.passed():
@@ -548,9 +613,6 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

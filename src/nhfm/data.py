@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, FormatError
 
 META_KEYS = ("__user", "__ts", "__label")
 
@@ -105,15 +105,23 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSchema":
-        payload = json.loads(text)
-        if payload.get("format") != "nhfm-schema-v1":
-            raise DataError(f"unsupported schema format: {payload.get('format')!r}")
-        fields = []
-        for fj in payload["fields"]:
-            vocab = {tok: i for i, tok in enumerate(fj["vocab"])} if fj["vocab"] is not None else {}
-            stats = tuple(fj["stats"]) if fj["stats"] is not None else None
-            fields.append(FieldSpec(fj["name"], fj["kind"], vocab, stats))
-        return cls(fields)
+        """Parse :meth:`to_json` text; anything else is a ``FormatError``."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"schema is not valid JSON: {exc}") from None
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != "nhfm-schema-v1":
+            raise FormatError(f"unsupported schema format: {fmt!r}")
+        try:
+            fields = []
+            for fj in payload["fields"]:
+                vocab = {tok: i for i, tok in enumerate(fj["vocab"])} if fj["vocab"] is not None else {}
+                stats = tuple(fj["stats"]) if fj["stats"] is not None else None
+                fields.append(FieldSpec(fj["name"], fj["kind"], vocab, stats))
+            return cls(fields)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"schema fields are malformed: {exc!r}") from None
 
     def hash(self) -> bytes:
         """32-byte digest identifying this schema exactly."""

@@ -260,4 +260,7 @@ def save_schema(schema: FeatureSchema, path) -> None:
 
 
 def load_schema(path) -> FeatureSchema:
-    return FeatureSchema.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        return FeatureSchema.from_json(Path(path).read_text(encoding="utf-8"))
+    except (FormatError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None

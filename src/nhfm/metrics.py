@@ -56,14 +56,11 @@ def auc(s: ScoredSet) -> float:
     n_pos, n_neg = _require_both_classes(s)
     order = np.argsort(s.scores, kind="mergesort")
     sorted_scores = s.scores[order]
+    # tie group [i, j) of the sorted scores shares the average of ranks i+1..j
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], sorted_scores.size]
     ranks = np.empty(s.scores.size)
-    i = 0
-    while i < sorted_scores.size:
-        j = i
-        while j < sorted_scores.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average of ranks i+1..j
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     rank_sum_pos = float(ranks[s.labels == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -16,8 +16,8 @@ engine on a single window.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class ModelConfig:
             raise ValueError(f"k and h must be >= 1, got k={self.k}, h={self.h}")
         if not self.mlp_widths or self.mlp_widths[-1] != 1:
             raise ValueError(f"final MLP width must be 1, got {self.mlp_widths}")
+        if min(self.mlp_widths) < 1:
+            raise ValueError(f"MLP widths must be >= 1, got {self.mlp_widths}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
@@ -59,48 +61,48 @@ class ModelConfig:
         return self.variant in ("alpha", "full")
 
 
-class Parameters:
-    """Named learnable arrays in a fixed iteration order."""
+class Parameters(Mapping[str, np.ndarray]):
+    """Named arrays in a fixed order, each a view into one contiguous
+    float64 vector, ``flat``. ``params[name] = x`` copies into the view,
+    so the optimizer and finite checks make one pass over ``flat``."""
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self._arrays = {name: ad.as_tensor(v) for name, v in arrays.items()}
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        arrays = {name: np.asarray(v, dtype=np.float64) for name, v in arrays.items()}
+        self.flat = np.concatenate([v.ravel() for v in arrays.values()] or [np.zeros(0)])
+        self._views: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, v in arrays.items():
+            self._views[name] = self.flat[offset:offset + v.size].reshape(v.shape)
+            offset += v.size
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
+        return self._views[name]
 
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        if name not in self._arrays:
-            raise KeyError(f"unknown parameter {name!r}")
-        if value.shape != self._arrays[name].shape:
+    def __setitem__(self, name: str, value) -> None:
+        view = self._views[name]
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
             raise ValueError(f"parameter {name!r}: shape {value.shape} "
-                             f"does not match {self._arrays[name].shape}")
-        self._arrays[name] = ad.as_tensor(value)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
+                             f"does not match {view.shape}")
+        view[...] = value
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._arrays)
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
     def names(self) -> list[str]:
-        return list(self._arrays)
-
-    def items(self):
-        return self._arrays.items()
+        return list(self._views)
 
     def count(self) -> int:
-        return sum(v.size for v in self._arrays.values())
+        return self.flat.size
 
     def copy(self) -> "Parameters":
-        return Parameters({n: v.copy() for n, v in self._arrays.items()})
+        return Parameters(self)
 
-    def assert_finite(self) -> None:
-        for name, v in self._arrays.items():
-            ad.assert_finite(v, name)
-
-    def equals(self, other: "Parameters") -> bool:
-        return (self.names() == other.names()
-                and all(np.array_equal(self[n], other[n]) for n in self))
+    def zeros_like(self) -> "Parameters":
+        return Parameters({name: np.zeros_like(v) for name, v in self.items()})
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:

@@ -9,6 +9,7 @@ every layer runs once per batch with a hand-written backward pass, so
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -23,13 +24,13 @@ from .errors import NumericalError
 from .model import ModelConfig, Parameters, init_parameters, random_parameters
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adam"            # sgd | adam
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 20
     patience: int = 3                  # evaluations without improvement
@@ -42,12 +43,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("batch_size", "max_epochs", "patience", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "grad_clip_norm", "pos_weight"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,73 +80,63 @@ def example_loss_and_grads(seq: EventSequence, params: Parameters,
 
 @dataclass
 class OptimizerState:
+    """Step count and Adam's moments, laid out like the parameters."""
+
     kind: str
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    # two work arrays per parameter for the in-place Adam update; not saved
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False)
+    m: Parameters = field(default_factory=lambda: Parameters({}))
+    v: Parameters = field(default_factory=lambda: Parameters({}))
 
     @classmethod
     def fresh(cls, kind: str, params: Parameters) -> "OptimizerState":
         state = cls(kind)
         if kind == "adam":
-            state.m = {n: np.zeros_like(p) for n, p in params.items()}
-            state.v = {n: np.zeros_like(p) for n, p in params.items()}
+            state.m, state.v = params.zeros_like(), params.zeros_like()
         return state
 
 
 def optimizer_step(params: Parameters, grads: Mapping[str, np.ndarray],
                    state: OptimizerState, config: TrainConfig
                    ) -> tuple[Parameters, OptimizerState]:
-    """In-place parameter update; NaN gradients abort, naming the tensor.
-
-    The Adam update works in preallocated buffers but keeps the operation
-    order of the textbook expressions, so its results are bit-identical
-    to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``.
-    """
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    """In-place update of ``params.flat``; NaN gradients abort, naming the
+    tensor. The gradients are concatenated once, in parameter order, and
+    each step of the rule is one pass over the whole vector, in the order
+    of the textbook expressions, so results are bit-identical to
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)`` per tensor."""
+    g = np.concatenate([grads[name].ravel() for name in params])
+    if not np.isfinite(g).all():
+        name = next(n for n in params if not np.isfinite(grads[n]).all())
+        raise NumericalError(f"non-finite gradient for parameter {name!r}")
 
     if config.grad_clip_norm is not None:
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if total > config.grad_clip_norm:
-            factor = config.grad_clip_norm / total
-            grads = {n: g * factor for n, g in grads.items()}
+            np.multiply(g, config.grad_clip_norm / total, out=g)
 
-    lr = config.learning_rate
+    lr, p = config.learning_rate, params.flat
+    state.step += 1
     if state.kind == "sgd":
-        for name in params:
-            params[name] -= lr * grads[name]
-        state.step += 1
+        p -= lr * g
         return params, state
 
-    state.step += 1
     t = state.step
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-    for name in params:
-        g, m, v, p = grads[name], state.m[name], state.v[name], params[name]
-        if name not in state.scratch:
-            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
-        work, denom = state.scratch[name]
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1 - b1, out=work)
-        np.add(m, work, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1 - b2, out=work)
-        np.multiply(work, g, out=work)
-        np.add(v, work, out=v)
-        np.divide(m, c1, out=work)       # m_hat
-        np.multiply(work, lr, out=work)
-        np.divide(v, c2, out=denom)      # v_hat
-        np.sqrt(denom, out=denom)
-        np.add(denom, eps, out=denom)
-        np.divide(work, denom, out=work)
-        np.subtract(p, work, out=p)
+    c1, c2 = 1 - BETA1 ** t, 1 - BETA2 ** t
+    m, v, work = state.m.flat, state.v.flat, np.empty_like(p)
+    np.multiply(m, BETA1, out=m)
+    np.multiply(g, 1 - BETA1, out=work)
+    np.add(m, work, out=m)
+    np.multiply(v, BETA2, out=v)
+    np.multiply(g, 1 - BETA2, out=work)
+    np.multiply(work, g, out=work)
+    np.add(v, work, out=v)
+    np.divide(m, c1, out=work)       # m_hat
+    np.multiply(work, lr, out=work)
+    np.divide(v, c2, out=g)          # v_hat; g is no longer needed
+    np.sqrt(g, out=g)
+    np.add(g, ADAM_EPS, out=g)
+    np.divide(work, g, out=work)
+    np.subtract(p, work, out=p)
     return params, state
 
 

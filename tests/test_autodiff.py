@@ -304,11 +304,6 @@ class TestFiniteDifferenceAgreement:
 
 
 class TestHelpers:
-    def test_assert_finite(self):
-        autodiff.assert_finite(np.ones(3))
-        with pytest.raises(FloatingPointError, match="emb"):
-            autodiff.assert_finite(np.array([1.0, np.nan]), name="emb")
-
     def test_as_tensor_row_major_f64(self):
         x = autodiff.as_tensor([[1, 2], [3, 4]])
         assert x.dtype == np.float64 and x.flags["C_CONTIGUOUS"]

@@ -70,6 +70,11 @@ class TestRoundTrip:
 
 
 class TestFraming:
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "seed-1" / "checkpoint.nhfmck"
+        with pytest.raises(CheckpointError, match=re.escape(f"cannot read checkpoint {path}")):
+            cp.load_checkpoint(path)
+
     def test_truncated_file_names_byte_counts(self, tmp_path, checkpoint):
         ck, _ = checkpoint
         path = tmp_path / "model.nhfmck"

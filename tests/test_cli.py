@@ -8,13 +8,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhfm
 from nhfm import batched as bt
 from nhfm import checkpoint as cp
 from nhfm import model as m
+from nhfm import training as tr
 from nhfm.cli import DEFAULT_CONFIG, RunConfig, ingest_generic, main
-from nhfm.errors import DataError
+from nhfm.errors import DataError, NumericalError
 
 
 @pytest.fixture
@@ -261,6 +264,192 @@ class TestConfigDefaults:
         assert DEFAULT_CONFIG["train"]["batch_size"] == 32
         cfg.raw["model"]["variant"] = "alpha"  # as `train --variant` does
         assert DEFAULT_CONFIG["model"]["variant"] == "full"
+
+
+class TestBadConfigValues:
+    """Bad config values and run-directory files end in an error message
+    and exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("override, message", [
+        ("train.learning_rate=-1", "learning_rate must be finite and > 0"),
+        ("train.patience=0", "patience must be >= 1"),
+        ("train.optimizer=rmsprop", "unknown optimizer 'rmsprop'"),
+        ("train.batch_size=0", "batch_size must be >= 1"),
+        ("train.eval_every=0", "eval_every must be >= 1"),
+        ("train.max_epochs=0", "max_epochs must be >= 1"),
+        ("model.k=abc", "invalid model config"),
+        ("model.k=0", "k and h must be >= 1"),
+        ("model.variant=gamma", "variant must be one of"),
+        ("model.mlp_widths=[4,2]", "final MLP width must be 1"),
+        ("model.mlp_widths=[0,1]", "MLP widths must be >= 1"),
+        ("train.grad_clip_norm=0", "grad_clip_norm must be finite and > 0"),
+        ("train.pos_weight=NaN", "pos_weight must be finite and > 0"),
+        ("seeds=5", "expected a list of seeds"),
+        ("seeds=[-1]", "a seed must be >= 0"),
+        ("dataset.ratios=[0.5,0.5]", "invalid dataset.ratios"),
+        ("fpr_ceiling=abc", "invalid fpr_ceiling"),
+    ])
+    def test_train_rejects_before_training(self, config_file, capsys, override, message):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--set", override) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("seed-*"))
+
+    def test_seeds_flag_that_is_not_a_number(self, config_file, capsys):
+        config, _ = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--seeds", "1,x") == 2
+        assert "invalid seeds" in capsys.readouterr().err
+
+    def test_unknown_synth_key(self, config_file, capsys):
+        config, _ = config_file
+        assert run_cli("preprocess", "--config", config, "--set", "dataset.synth.bogus=1") == 2
+        assert "invalid dataset.synth" in capsys.readouterr().err
+
+    def test_gradcheck_k_zero(self, capsys):
+        assert run_cli("gradcheck", "--set", "gradcheck.k=0") == 2
+        assert "invalid gradcheck config" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        assert run_cli("train", "--config", path) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ceiling", ["2", "0", "nan"])
+    def test_eval_fpr_ceiling_outside_the_unit_interval(self, config_file, capsys, ceiling):
+        config, _ = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("eval", "--config", config, "--fpr-ceiling", ceiling) == 2
+        assert "invalid fpr_ceiling: must be in (0, 1]" in capsys.readouterr().err
+
+    def test_failed_train_leaves_no_seed_dir(self, config_file, monkeypatch):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+
+        def diverge(*args, **kwargs):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(tr, "train", diverge)
+        assert run_cli("train", "--config", config) == 3
+        assert not list(out.glob("seed-*"))
+
+    def test_eval_on_an_empty_seed_dir(self, config_file, capsys):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        (out / "seed-1").mkdir()
+        assert run_cli("eval", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read checkpoint {out / 'seed-1' / 'checkpoint.nhfmck'}" in err
+
+    def test_eval_against_a_corrupt_baseline_summary(self, config_file, tmp_path, capsys):
+        config, _ = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--seeds", "1") == 0
+        baseline = tmp_path / "baseline"
+        baseline.mkdir()
+        (baseline / "summary.json").write_text('{"metrics": {"auc": [0.5]}}')
+        assert run_cli("eval", "--config", config, "--baseline", baseline) == 2
+        assert f"cannot read baseline {baseline / 'summary.json'}" in capsys.readouterr().err
+
+    def test_corrupt_schema(self, config_file, capsys):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        schema = out / "data" / "schema.json"
+        schema.write_text(schema.read_text()[:40])
+        assert run_cli("train", "--config", config) == 2
+        assert f"{schema}: schema is not valid JSON" in capsys.readouterr().err
+
+
+_BAD_VALUES = [
+    ("train.learning_rate", ["-1", "0", "abc", "NaN", "Infinity", "[1]", "null"]),
+    ("train.patience", ["0", "-3", "abc", "{}"]),
+    ("train.optimizer", ["rmsprop", "5", "null"]),
+    ("train.batch_size", ["0", "-1", "x", "[]"]),
+    ("train.eval_every", ["0", "-1", "abc"]),
+    ("train.max_epochs", ["0", "-2", "abc"]),
+    ("train.grad_clip_norm", ["0", "-1", "NaN", "abc"]),
+    ("train.pos_weight", ["0", "-2", "NaN", "abc"]),
+    ("train", ["5", "{}"]),
+    ("model.k", ["abc", "0", "-1", "[2]", "1.5e400"]),
+    ("model.h", ["0", "abc"]),
+    ("model.variant", ["gamma", "3", "null"]),
+    ("model.mlp_widths", ["[4,2]", "[]", "5", "abc", "[0,1]"]),
+    ("model", ["5", "{}"]),
+    ("dataset.t_max", ["0", "abc"]),
+    ("seeds", ["5", "[]", "[1,1]", "[-1]", "abc", "[\"a\"]"]),
+    ("dataset.ratios", ["[0.5,0.5]", "[0.5,0.6,0.1]", "1", "[-0.1,0.6,0.5]", "[0,0.5,0.5]"]),
+    ("fpr_ceiling", ["abc", "0", "2", "-0.5", "NaN", "null"]),
+    ("out_dir", ["null", "5"]),
+]
+_BAD_PREPROCESS = [
+    ("dataset.synth.bogus", ["1"]),
+    ("dataset.synth", ["abc", "5"]),
+    ("dataset.synth.n_users", ["abc", "0"]),
+    ("dataset.synth_seed", ["-1", "abc"]),
+]
+_BAD_GRADCHECK = [
+    ("gradcheck.k", ["0", "abc", "-2"]),
+    ("gradcheck.h", ["0"]),
+    ("gradcheck.seed", ["-1", "abc"]),
+    ("gradcheck", ["5"]),
+]
+
+
+def _overrides(table, commands):
+    return st.tuples(st.sampled_from(commands), st.sampled_from(
+        [f"{key}={value}" for key, values in table for value in values]))
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A preprocessed and trained run directory, shared by the properties
+    below, which restore every file they change."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = {
+        "dataset": {"kind": "synthetic", "t_max": 5, "synth_seed": 3,
+                    "synth": {"n_users": 30, "n_fields": 3, "vocab_size": 5,
+                              "len_min": 3, "len_max": 7}},
+        "model": {"variant": "full", "k": 3, "h": 2, "mlp_widths": [4, 1]},
+        "train": {"learning_rate": 0.01, "batch_size": 16, "max_epochs": 1},
+        "seeds": [1], "out_dir": str(root / "run"), "fpr_ceiling": 0.1,
+    }
+    config = root / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert run_cli("preprocess", "--config", config) == 0
+    assert run_cli("train", "--config", config) == 0
+    return config, root / "run"
+
+
+@given(st.one_of(
+    _overrides(_BAD_VALUES, ["preprocess", "train", "eval", "explain"]),
+    _overrides(_BAD_PREPROCESS, ["preprocess"]),
+    _overrides(_BAD_GRADCHECK, ["gradcheck"])))
+@settings(max_examples=80, deadline=None)
+def test_bad_overrides_exit_with_an_error_code(trained_run, case):
+    config, _ = trained_run
+    command, override = case
+    args = [command, "--config", config, "--set", override]
+    if command in ("preprocess", "train"):
+        args.append("--force")
+    assert run_cli(*args) in (1, 2, 3)
+
+
+@given(st.sampled_from([("data/schema.json", "train"), ("data/schema.json", "eval"),
+                        ("data/schema.json", "explain"), ("seed-1/checkpoint.nhfmck", "eval"),
+                        ("seed-1/checkpoint.nhfmck", "explain")]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_run_files_exit_with_an_error_code(trained_run, case, data):
+    config, out = trained_run
+    name, command = case
+    path = out / name
+    original = path.read_bytes()
+    path.write_bytes(original[:data.draw(st.integers(0, len(original) - 1))])
+    try:
+        assert run_cli(command, "--config", config) in (1, 2, 3)
+    finally:
+        path.write_bytes(original)
 
 
 def test_importing_the_cli_does_not_import_scipy():

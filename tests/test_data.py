@@ -195,6 +195,24 @@ class TestSchemaSerialization:
         s2 = d.fit_schema([rec(color="b")], {"color": d.CATEGORICAL})
         assert s1.hash() != s2.hash()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format": "nhfm-sch', "not valid JSON"),
+        ("[1]", "unsupported schema format: None"),
+        ('{"format": "nhfm-schema-v1"}', "malformed"),
+        ('{"format": "nhfm-schema-v1", "fields": [{"name": "a"}]}', "malformed"),
+        ('{"format": "nhfm-schema-v1", "fields": 3}', "malformed"),
+    ])
+    def test_bad_text_is_a_format_error(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            d.FeatureSchema.from_json(text)
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_bytes(b'{"format": "nhfm-schema-v1", "fields": [{"name": "\xc3')
+        with pytest.raises(FormatError) as info:
+            dio.load_schema(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestSyntheticGenerator:
     def test_same_seed_byte_identical(self):

@@ -92,6 +92,31 @@ class TestAUC:
         with pytest.raises(ValueError, match="both classes"):
             mt.auc(mt.ScoredSet.of([0.1, 0.2], [1, 1]))
 
+    def test_tie_ranks_match_the_loop_bit_for_bit(self):
+        # the per-group loop the array version replaced
+        def loop_auc(scores, labels):
+            order = np.argsort(scores, kind="mergesort")
+            ordered = scores[order]
+            ranks = np.empty(scores.size)
+            i = 0
+            while i < ordered.size:
+                j = i
+                while j < ordered.size and ordered[j] == ordered[i]:
+                    j += 1
+                ranks[order[i:j]] = 0.5 * (i + 1 + j)
+                i = j
+            n_pos = int(labels.sum())
+            n_neg = labels.size - n_pos
+            return (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 300))
+            scores = rng.integers(0, int(rng.integers(1, 12)), n) / 7.0
+            labels = rng.integers(0, 2, n)
+            labels[:2] = (0, 1)
+            assert mt.auc(mt.ScoredSet.of(scores, labels)) == loop_auc(scores, labels)
+
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(1)
         scores, labels = random_set(rng)

@@ -441,3 +441,56 @@ class TestFullModelGradients:
 
         err = to.finite_diff_check(loss_given, dict(params.items()), analytic)
         assert err < 1e-4
+
+
+class TestParameters:
+    @pytest.fixture
+    def params(self):
+        config = m.ModelConfig(variant="full", k=3, h=2, mlp_widths=(4, 1), t_max=4)
+        return m.init_parameters(config, 11, seed=5), config
+
+    def test_views_share_one_vector_in_order(self, params):
+        params, config = params
+        assert list(params) == list(m.parameter_shapes(config, 11))
+        assert params.count() == params.flat.size
+        assert np.array_equal(params.flat,
+                              np.concatenate([v.ravel() for v in params.values()]))
+        for name, view in params.items():
+            assert np.shares_memory(view, params.flat), name
+        assert params["wide.b"].shape == ()
+
+    def test_setitem_writes_through(self, params):
+        params, _ = params
+        params["attn.F1.b"] = np.arange(3.0)
+        params["wide.b"] = 2.5
+        offset = 0
+        for name, view in params.items():
+            if name == "attn.F1.b":
+                assert np.array_equal(params.flat[offset:offset + 3], [0.0, 1.0, 2.0])
+            offset += view.size
+        assert float(params["wide.b"]) == 2.5
+        params["embed.V"] += 1.0  # in place through the view
+        assert np.shares_memory(params["embed.V"], params.flat)
+
+    def test_copy_and_zeros_like_are_independent(self, params):
+        params, _ = params
+        before = params.flat.copy()
+        twin, zeros = params.copy(), params.zeros_like()
+        twin["embed.V"] = np.ones((11, 3))
+        zeros.flat += 1.0
+        assert np.array_equal(params.flat, before)
+        assert not np.shares_memory(twin.flat, params.flat)
+        assert zeros.names() == params.names()
+        assert all(zeros[n].shape == params[n].shape for n in params)
+        assert np.array_equal(zeros.flat, np.ones_like(before))
+
+    def test_shape_mismatch_and_unknown_name_raise(self, params):
+        params, _ = params
+        with pytest.raises(ValueError, match="embed.V"):
+            params["embed.V"] = np.zeros((3, 11))
+        with pytest.raises(KeyError, match="nope"):
+            params["nope"] = np.zeros(1)
+
+    def test_empty(self):
+        empty = m.Parameters({})
+        assert len(empty) == 0 and empty.count() == 0
