@@ -2,8 +2,8 @@
 
 The package covers the full workflow: sparse feature schemas and event
 encoding (:mod:`nhfm.data`), the model's configuration and parameters
-(:mod:`nhfm.model`), one batched forward and backward engine
-(:mod:`nhfm.batched`) that every command runs, training with checkpoints
+and its one batched forward and backward engine, which every command runs
+(:mod:`nhfm.model`), training with checkpoints
 (:mod:`nhfm.training`, :mod:`nhfm.checkpoint`), AUC/partial-AUC evaluation
 (:mod:`nhfm.metrics`), weight- and attention-based explanation
 (:mod:`nhfm.explain`), and a CLI (:mod:`nhfm.cli`).

@@ -1,9 +1,8 @@
-"""Array helpers and the central-difference gradient check.
+"""The central-difference gradient check.
 
-Tensors are C-contiguous ``numpy`` float64 arrays. The model's forward
-and backward passes live in :mod:`nhfm.batched`; this module holds the
-small helpers they share and :func:`finite_diff_errors`, which checks an
-analytic gradient against central differences of a loss.
+The model's forward and backward passes live in :mod:`nhfm.model`;
+:func:`finite_diff_errors` checks an analytic gradient against central
+differences of a loss over float64 ``numpy`` arrays.
 """
 
 from __future__ import annotations
@@ -13,26 +12,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 Array = np.ndarray
-
-
-def as_tensor(x) -> Array:
-    """Coerce to a C-contiguous float64 array (0-d stays 0-d)."""
-    arr = np.asarray(x, dtype=np.float64)
-    return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
-
-
-def sigmoid_values(x: Array) -> Array:
-    # two-branch form avoids exp overflow warnings for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
 
 
 def finite_diff_errors(f: Callable[[Mapping[str, Array]], float],

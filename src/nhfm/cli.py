@@ -213,19 +213,11 @@ class RunConfig:
 # dataset preparation
 
 
-def _user_streams(records: list[dict], schema: d.FeatureSchema
-                  ) -> dict[str, list[tuple[d.Event, int]]]:
-    streams: dict[str, list[tuple[d.Event, int]]] = {}
-    for rec in records:
-        streams.setdefault(str(rec["__user"]), []).append(
-            (d.encode_event(rec, schema), int(rec["__label"])))
-    return streams
-
-
-def _fit_schema_on_train_fraction(records: list[dict], field_config: dict,
-                                  ratios) -> d.FeatureSchema:
-    """Fit vocabularies/stats on each user's earliest training fraction only,
-    mirroring the chronological split so later tokens can fall to OOV."""
+def _encode_records(records: list[dict], field_config: dict, ratios, t_max: int
+                    ) -> tuple[d.FeatureSchema, list[d.EventSequence]]:
+    """Schema and windows for records sorted by user and time. The schema
+    is fit on each user's earliest training fraction only, mirroring the
+    chronological split so later tokens can fall to OOV."""
     per_user: dict[str, list[dict]] = {}
     for rec in records:
         per_user.setdefault(str(rec["__user"]), []).append(rec)
@@ -233,7 +225,10 @@ def _fit_schema_on_train_fraction(records: list[dict], field_config: dict,
     for recs in per_user.values():
         n_train, _, _ = d.split_counts(len(recs), ratios)
         train_records.extend(recs[:n_train])
-    return d.fit_schema(train_records, field_config)
+    schema = d.fit_schema(train_records, field_config)
+    streams = {user: [(d.encode_event(rec, schema), int(rec["__label"])) for rec in recs]
+               for user, recs in per_user.items()}
+    return schema, d.assemble_sequences(streams, t_max)
 
 
 def ingest_generic(path) -> list[dict]:
@@ -289,28 +284,25 @@ def prepare_datasets(cfg: RunConfig):
         spec = _checked("dataset.synth", lambda: _synth_spec(synth_cfg))
         seed = _checked("dataset.synth_seed", lambda: _seed(ds_cfg.get("synth_seed", 0)))
         full = syn.synth_generate(spec, seed=seed)
-        schema = full.schema
-        sequences = full.sequences
-    elif kind == "movielens":
+        return d.split(full.sequences, ratios, schema=full.schema)
+    if kind == "movielens":
         root = ds_cfg.get("movielens_dir")
         if not root:
             raise DataError("dataset.movielens_dir is required for kind=movielens")
         root = Path(root)
         records = ml.ingest_movielens(root / "ratings.dat", root / "users.dat",
                                       root / "movies.dat")
-        schema = _fit_schema_on_train_fraction(records, ml.MOVIELENS_FIELDS, ratios)
-        sequences = d.assemble_sequences(_user_streams(records, schema), t_max)
+        fields = ml.MOVIELENS_FIELDS
     elif kind == "generic":
         path = ds_cfg.get("path")
         fields = ds_cfg.get("fields")
         if not path or not fields:
             raise DataError("dataset.path and dataset.fields are required for kind=generic")
         records = ingest_generic(path)
-        schema = _fit_schema_on_train_fraction(records, fields, ratios)
-        sequences = d.assemble_sequences(_user_streams(records, schema), t_max)
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
 
+    schema, sequences = _encode_records(records, fields, ratios, t_max)
     return d.split(sequences, ratios, schema=schema)
 
 
@@ -438,6 +430,8 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
     out = cfg.out_dir
     schema, splits = _load_run_data(out)
     model_config = cfg.model_config()
+    for tag in ("valid", "test"):  # AUC is taken on both, after training
+        tr.require_both_classes(splits[tag])
 
     per_seed_auc: dict[int, float] = {}
     per_seed_spauc: dict[int, float] = {}
@@ -508,6 +502,7 @@ def eval_cmd(config_path, out_dir, overrides, split_tag, baseline_dir, fpr_ceili
     out = cfg.out_dir
     schema, splits = _load_run_data(out)
     dataset = splits[split_tag]
+    tr.require_both_classes(dataset)
 
     seed_dirs = sorted(out.glob("seed-*"))
     if not seed_dirs:

@@ -9,22 +9,41 @@ variant: a parameter-free interaction pool over history event vectors
 (``alpha``), self-importance attention plus a bidirectional LSTM
 (``beta``), or both (``full``). The current event's vector always joins
 the MLP input, and a linear wide term over all raw features joins the
-logit. :mod:`nhfm.batched` computes all of it; :func:`forward` runs that
-engine on a single window.
+logit.
+
+One engine computes all of it. A batch of windows is packed into
+``idx (B, T, F)`` feature indices, ``val (B, T, F)`` feature values and
+``q (B, T)`` real-slot flags, where F is the largest entry count of any
+event among the packed windows. Padded entries carry index 0 and value 0,
+so they add nothing. Every layer then runs once per batch:
+
+* the in-event FM pool and the masked sequence FM pool;
+* self-importance attention with a softmax over real history slots only;
+* the BiLSTM, whose padded steps keep the previous state, so the forward
+  direction starts at the first real event and the backward direction
+  carries its state through the left padding;
+* the MLP, the wide term and the weighted NLL.
+
+Windows without history get zero attention and LSTM vectors. Backward
+passes are written by hand per layer; embedding and wide gradients are
+scattered into one dense buffer per batch. Training, scoring,
+:func:`forward`, the gradient check and the attention report all run
+this engine.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import EventSequence
 
 VARIANTS = ("alpha", "beta", "full")
+GATES = ("i", "f", "g", "o")
 
 
 @dataclass(frozen=True)
@@ -120,7 +139,7 @@ def parameter_shapes(config: ModelConfig, n: int) -> dict[str, tuple[int, ...]]:
             shapes[f"attn.{name}.W"] = (k, k)
             shapes[f"attn.{name}.b"] = (k,)
         for direction in ("fwd", "bwd"):
-            for gate in ("i", "f", "g", "o"):
+            for gate in GATES:
                 shapes[f"lstm.{direction}.W{gate}"] = (h, k)
                 shapes[f"lstm.{direction}.U{gate}"] = (h, h)
                 shapes[f"lstm.{direction}.b{gate}"] = (h,)
@@ -165,6 +184,16 @@ def random_parameters(config: ModelConfig, n: int, seed: int,
                        for name, v in template.items()})
 
 
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    # two-branch form avoids exp overflow warnings for large |x|
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 _OPEN_LO = np.nextafter(0.0, 1.0)
 _OPEN_HI = np.nextafter(1.0, 0.0)
 
@@ -172,7 +201,293 @@ _OPEN_HI = np.nextafter(1.0, 0.0)
 def probabilities(logits: np.ndarray) -> np.ndarray:
     """Sigmoid of each logit, clamped to the nearest representable values
     inside (0, 1)."""
-    return np.clip(ad.sigmoid_values(logits), _OPEN_LO, _OPEN_HI)
+    return np.clip(sigmoid_values(logits), _OPEN_LO, _OPEN_HI)
+
+
+# ---------------------------------------------------------------------------
+# the batched engine
+
+# Windows per scoring chunk. The last chunk is padded with empty windows to
+# this row count, because BLAS may round a matrix row differently when the
+# number of rows changes; at a fixed row count a window's score depends on
+# neither its batchmates nor its position.
+SCORE_ROWS = 64
+
+
+@dataclass(frozen=True)
+class Batch:
+    idx: np.ndarray    # (B, T, F) feature indices, 0 where padded
+    val: np.ndarray    # (B, T, F) feature values, 0 where padded
+    q: np.ndarray      # (B, T) bool, True on real slots
+    label: np.ndarray  # (B,) 0.0 / 1.0
+
+    def take(self, rows) -> "Batch":
+        return Batch(self.idx[rows], self.val[rows], self.q[rows], self.label[rows])
+
+
+def pack(sequences: Sequence[EventSequence], rows: int | None = None) -> Batch:
+    """Padded arrays for ``sequences``, which share one t_max, as wide as
+    their widest event; with ``rows``, empty windows (no real slot) fill
+    the batch up to that count."""
+    n = len(sequences)
+    rows = n if rows is None else rows
+    t_max = sequences[0].t_max if sequences else 0
+    events = [ev.entries for s in sequences for ev in s.events]
+    counts = np.fromiter(map(len, events), dtype=np.intp, count=len(events))
+    width = int(counts.max(initial=0))
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(events)),
+                        dtype=np.float64).reshape(-1, 2)
+    present = np.zeros((rows * t_max, width), dtype=bool)
+    present[:n * t_max] = np.arange(width) < counts[:, None]
+    idx = np.zeros((rows * t_max, width), dtype=np.intp)
+    val = np.zeros((rows * t_max, width))
+    idx[present] = pairs[:, 0]
+    val[present] = pairs[:, 1]
+    q = np.zeros((rows, t_max), dtype=bool)
+    label = np.zeros(rows)
+    if n:
+        q[:n] = np.array([s.q for s in sequences]) == 1
+        label[:n] = [s.label for s in sequences]
+    shape = (rows, t_max, width)
+    return Batch(idx.reshape(shape), val.reshape(shape), q, label)
+
+
+# ---------------------------------------------------------------------------
+# layers: each forward returns its output and what its backward needs
+
+
+def _fm_pool(u: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """0.5 * ((sum u)^2 - sum u^2) over ``axis``, and the sum itself."""
+    total = u.sum(axis=axis)
+    return 0.5 * (total * total - (u * u).sum(axis=axis)), total
+
+
+def _attention(eh: np.ndarray, mask: np.ndarray, params: Parameters, k: int):
+    """Self-importance over history vectors ``eh (B, Th, k)``."""
+    B, Th, _ = eh.shape
+    w_cat = np.concatenate([params[f"attn.{n}.W"] for n in ("F1", "F2", "F3")])
+    b_cat = np.concatenate([params[f"attn.{n}.b"] for n in ("F1", "F2", "F3")])
+    flat = eh.reshape(B * Th, k)
+    z = (flat @ w_cat.T + b_cat).reshape(B, Th, 3 * k)
+    f1, f2, z3 = z[..., :k], z[..., k:2 * k], z[..., 2 * k:]
+    scale = 1.0 / math.sqrt(k)
+    logits = (f1 * f2).sum(axis=-1) * scale
+    masked = np.where(mask, logits, -np.inf)
+    top = masked.max(axis=1, keepdims=True, initial=-np.inf)
+    ex = np.exp(masked - np.where(np.isfinite(top), top, 0.0))
+    den = ex.sum(axis=1, keepdims=True)
+    weights = ex / np.where(den > 0, den, 1.0)
+    proj = np.maximum(z3, 0.0)
+    s_self = (weights[..., None] * proj).sum(axis=1)
+    return s_self, weights, (flat, w_cat, f1, f2, z3, proj, scale)
+
+
+def _attention_backward(ds: np.ndarray, weights: np.ndarray, cache,
+                        grads: dict) -> np.ndarray:
+    flat, w_cat, f1, f2, z3, proj, scale = cache
+    B, Th, k = f1.shape
+    dw = (proj * ds[:, None, :]).sum(axis=-1)
+    dlogits = weights * (dw - (dw * weights).sum(axis=1, keepdims=True))
+    dz = np.concatenate([
+        dlogits[..., None] * f2 * scale,
+        dlogits[..., None] * f1 * scale,
+        (weights[..., None] * ds[:, None, :]) * (z3 > 0),
+    ], axis=-1).reshape(B * Th, 3 * k)
+    dw_cat = dz.T @ flat
+    db_cat = dz.sum(axis=0)
+    for j, n in enumerate(("F1", "F2", "F3")):
+        grads[f"attn.{n}.W"] = dw_cat[j * k:(j + 1) * k]
+        grads[f"attn.{n}.b"] = db_cat[j * k:(j + 1) * k]
+    return (dz @ w_cat).reshape(B, Th, k)
+
+
+def _lstm(x: np.ndarray, mask: np.ndarray, params: Parameters,
+          direction: str, h: int):
+    """One direction over time-major steps ``x (S, B, k)``; a step whose
+    ``mask (S, B)`` is False keeps the previous state."""
+    S, B, k = x.shape
+    w = np.concatenate([params[f"lstm.{direction}.W{g}"] for g in GATES])
+    u = np.concatenate([params[f"lstm.{direction}.U{g}"] for g in GATES])
+    b = np.concatenate([params[f"lstm.{direction}.b{g}"] for g in GATES])
+    xw = (x.reshape(S * B, k) @ w.T).reshape(S, B, 4 * h)
+    # all four gates by one tanh: sigmoid(z) = 0.5 * tanh(z / 2) + 0.5
+    half = np.full(4 * h, 0.5)
+    half[2 * h:3 * h] = 1.0
+    shift = 1.0 - half
+    hidden = np.zeros((B, h))
+    cell = np.zeros((B, h))
+    acts = np.empty((S, B, 4 * h))
+    cells_prev = np.empty((S, B, h))
+    tanh_cells = np.empty((S, B, h))
+    hiddens_prev = np.empty((S, B, h))
+    for s in range(S):
+        a = acts[s]
+        np.tanh((xw[s] + hidden @ u.T + b) * half, out=a)
+        a *= half
+        a += shift
+        i, f, g, o = (a[:, j * h:(j + 1) * h] for j in range(4))
+        new_cell = f * cell + i * g
+        tc = np.tanh(new_cell)
+        cells_prev[s] = cell
+        hiddens_prev[s] = hidden
+        tanh_cells[s] = tc
+        m = mask[s][:, None]
+        cell = np.where(m, new_cell, cell)
+        hidden = np.where(m, o * tc, hidden)
+    return hidden, (x, mask, w, u, acts, cells_prev, tanh_cells, hiddens_prev)
+
+
+def _lstm_backward(dh: np.ndarray, cache, direction: str, h: int,
+                   grads: dict) -> np.ndarray:
+    """Backpropagation through time from the final hidden state's gradient
+    ``dh``; returns the gradient of the inputs ``x``."""
+    x, mask, w, u, acts, cells_prev, tanh_cells, hiddens_prev = cache
+    S, B, k = x.shape
+    dc = np.zeros((B, h))
+    dpre = np.zeros((S, B, 4 * h))
+    for s in range(S - 1, -1, -1):
+        m = mask[s][:, None]
+        i, f, g, o = (acts[s, :, j * h:(j + 1) * h] for j in range(4))
+        tc = tanh_cells[s]
+        dh_new = np.where(m, dh, 0.0)
+        dc_new = np.where(m, dc, 0.0) + dh_new * o * (1.0 - tc * tc)
+        d = dpre[s]
+        d[:, :h] = dc_new * g * i * (1.0 - i)
+        d[:, h:2 * h] = dc_new * cells_prev[s] * f * (1.0 - f)
+        d[:, 2 * h:3 * h] = dc_new * i * (1.0 - g * g)
+        d[:, 3 * h:] = dh_new * tc * o * (1.0 - o)
+        dc = np.where(m, dc_new * f, dc)
+        dh = np.where(m, d @ u, dh)
+    flat = dpre.reshape(S * B, 4 * h)
+    dw = flat.T @ x.reshape(S * B, k)
+    du = flat.T @ hiddens_prev.reshape(S * B, h)
+    db = flat.sum(axis=0)
+    for j, gate in enumerate(GATES):
+        rows = slice(j * h, (j + 1) * h)
+        grads[f"lstm.{direction}.W{gate}"] = dw[rows]
+        grads[f"lstm.{direction}.U{gate}"] = du[rows]
+        grads[f"lstm.{direction}.b{gate}"] = db[rows]
+    return (flat @ w).reshape(S, B, k)
+
+
+def _mlp(x: np.ndarray, params: Parameters, n_layers: int):
+    inputs, pre = [], []
+    for i in range(n_layers):
+        inputs.append(x)
+        z = x @ params[f"mlp.{i}.W"].T + params[f"mlp.{i}.b"]
+        pre.append(z)
+        x = np.maximum(z, 0.0) if i + 1 < n_layers else z
+    return x[:, 0], (inputs, pre)
+
+
+def _mlp_backward(dout: np.ndarray, cache, params: Parameters,
+                  grads: dict) -> np.ndarray:
+    inputs, pre = cache
+    dz = dout[:, None]
+    for i in range(len(inputs) - 1, -1, -1):
+        if i + 1 < len(inputs):
+            dz = dz * (pre[i] > 0)
+        grads[f"mlp.{i}.W"] = dz.T @ inputs[i]
+        grads[f"mlp.{i}.b"] = dz.sum(axis=0)
+        dz = dz @ params[f"mlp.{i}.W"]
+    return dz
+
+
+# ---------------------------------------------------------------------------
+# the whole model
+
+
+def _forward(batch: Batch, params: Parameters, config: ModelConfig):
+    """Logits ``(B,)`` and the caches of every layer."""
+    k, h = config.k, config.h
+    B, T, F = batch.idx.shape
+    u = params["embed.V"][batch.idx] * batch.val[..., None]        # (B, T, F, k)
+    events, event_sums = _fm_pool(u, axis=2)                      # (B, T, k)
+    history, mask = events[:, :-1], batch.q[:, :-1]
+    parts, cache = [], {"u": u, "events": events, "event_sums": event_sums}
+
+    if config.uses_alpha_branch():
+        s_alpha, cache["history_sum"] = _fm_pool(history * mask[..., None], axis=1)
+        parts.append(s_alpha)
+    if config.uses_attention():
+        s_self, cache["att_weights"], cache["attention"] = _attention(
+            history, mask, params, k)
+        steps, step_mask = history.transpose(1, 0, 2), mask.T
+        h_fwd, cache["fwd"] = _lstm(steps, step_mask, params, "fwd", h)
+        h_bwd, cache["bwd"] = _lstm(steps[::-1], step_mask[::-1], params, "bwd", h)
+        parts += [s_self, h_fwd + h_bwd]
+    parts.append(events[:, -1])
+
+    s = np.concatenate(parts, axis=1)
+    mlp_out, cache["mlp"] = _mlp(s, params, len(config.mlp_widths))
+    # each slot adds its entries in order, so padded entries add exact zeros
+    # last and the wide term does not depend on the batch's width F
+    terms = params["wide.w"][batch.idx] * batch.val                # (B, T, F)
+    slots = np.zeros((B, T))
+    for f in range(F):
+        slots += terms[..., f]
+    return mlp_out + (slots.sum(axis=1) + params["wide.b"]), cache
+
+
+def logits(batch: Batch, params: Parameters, config: ModelConfig) -> np.ndarray:
+    return _forward(batch, params, config)[0]
+
+
+def loss_and_grads(batch: Batch, params: Parameters, config: ModelConfig,
+                   pos_weight: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean weighted NLL over the batch and its gradient for every parameter."""
+    k, h = config.k, config.h
+    B, T, F = batch.idx.shape
+    logit, cache = _forward(batch, params, config)
+    y = batch.label
+    weight = np.where(y == 1, pos_weight, 1.0)
+    loss = float((weight * (np.logaddexp(0.0, logit) - y * logit)).sum()) / B
+    dlogit = weight * (sigmoid_values(logit) - y) / B
+
+    grads: dict[str, np.ndarray] = {}
+    ds = _mlp_backward(dlogit, cache["mlp"], params, grads)
+    devents = np.zeros((B, T, k))
+    devents[:, -1] = ds[:, -k:]
+    dhistory = devents[:, :-1]
+    mask = batch.q[:, :-1]
+    col = 0
+    if config.uses_alpha_branch():
+        history = cache["events"][:, :-1]
+        dhistory += (mask[..., None] * ds[:, None, :k]
+                     * (cache["history_sum"][:, None, :] - history))
+        col = k
+    if config.uses_attention():
+        dhistory += _attention_backward(ds[:, col:col + k], cache["att_weights"],
+                                        cache["attention"], grads)
+        d_rnn = ds[:, col + k:col + k + h]
+        dsteps = _lstm_backward(d_rnn, cache["fwd"], "fwd", h, grads)
+        dsteps += _lstm_backward(d_rnn, cache["bwd"], "bwd", h, grads)[::-1]
+        dhistory += dsteps.transpose(1, 0, 2)
+
+    u = cache["u"]
+    du = devents[:, :, None, :] * (cache["event_sums"][:, :, None, :] - u)
+    # one scatter-add per table; bincount sums in input order, as np.add.at
+    # does, in less than half its time
+    n = params["wide.w"].shape[0]
+    flat_idx = batch.idx.reshape(-1)
+    cells = (flat_idx[:, None] * k + np.arange(k)).reshape(-1)
+    dv = (du * batch.val[..., None]).reshape(-1)
+    grads["embed.V"] = np.bincount(cells, weights=dv, minlength=n * k).reshape(n, k)
+    dw = (dlogit[:, None, None] * batch.val).reshape(-1)
+    grads["wide.w"] = np.bincount(flat_idx, weights=dw, minlength=n)
+    grads["wide.b"] = np.asarray(dlogit.sum())
+    return loss, grads
+
+
+def scores(sequences: Sequence[EventSequence], params: Parameters,
+           config: ModelConfig) -> np.ndarray:
+    """Clamped probabilities for every window, ``SCORE_ROWS`` at a time."""
+    out = np.empty(len(sequences))
+    for lo in range(0, len(sequences), SCORE_ROWS):
+        chunk = sequences[lo:lo + SCORE_ROWS]
+        batch = pack(chunk, rows=SCORE_ROWS)
+        out[lo:lo + len(chunk)] = probabilities(logits(batch, params, config)[:len(chunk)])
+    return out
 
 
 @dataclass
@@ -189,18 +504,15 @@ class ForwardCache:
 
 def forward(seq: EventSequence, params: Parameters,
             config: ModelConfig) -> ForwardCache:
-    """Run the batched engine on one window.
+    """Run the engine on one window, as a batch of one.
 
     The probability is clamped to the nearest representable values inside
     (0, 1); the loss is taken from the logit, never from it.
     """
-    from . import batched  # batched imports this module
-
-    batch = batched.pack([seq], batched.max_entries([seq]))
-    logits, cache = batched._forward(batch, params, config)
+    logit, cache = _forward(pack([seq]), params, config)
     slots = seq.history_positions()
     weights = None
     if config.uses_attention() and slots:
-        weights = cache["attention"][6][0, slots]  # the softmax weights (B, T-1)
-    return ForwardCache(float(logits[0]), float(probabilities(logits)[0]),
+        weights = cache["att_weights"][0, slots]
+    return ForwardCache(float(logit[0]), float(probabilities(logit)[0]),
                         slots, weights)

@@ -1,9 +1,9 @@
 """Negative log-likelihood training: minibatch loop, SGD/Adam, early
 stopping on validation AUC, gradient verification, and divergence guards.
 
-Training, scoring and the gradient check all run batched
-(:mod:`nhfm.batched`): each minibatch is packed into padded arrays and
-every layer runs once per batch with a hand-written backward pass, so
+Training, scoring and the gradient check all run the batched engine of
+:mod:`nhfm.model`: each minibatch is packed into padded arrays and every
+layer runs once per batch with a hand-written backward pass, so
 :func:`grad_check_mode` checks the backward that trains.
 """
 
@@ -17,11 +17,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import batched
 from . import metrics as mt
 from .data import Dataset, EventSequence
-from .errors import NumericalError
-from .model import ModelConfig, Parameters, init_parameters, random_parameters
+from .errors import DataError, NumericalError
+from .model import (ModelConfig, Parameters, init_parameters, logits,
+                    loss_and_grads, pack, random_parameters, scores)
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
@@ -70,8 +70,7 @@ def example_loss_and_grads(seq: EventSequence, params: Parameters,
                            ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward + backward for one sequence, as a batch of one; gradients
     keyed by parameter name."""
-    batch = batched.pack([seq], batched.max_entries([seq]))
-    return batched.loss_and_grads(batch, params, config, pos_weight)
+    return loss_and_grads(pack([seq]), params, config, pos_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +170,23 @@ class TrainResult:
 
 def predict_scores(dataset: Dataset, params: Parameters,
                    config: ModelConfig) -> np.ndarray:
-    return batched.scores(dataset.sequences, params, config)
+    return scores(dataset.sequences, params, config)
+
+
+def require_both_classes(dataset: Dataset) -> None:
+    """Raise ``DataError`` unless ``dataset`` holds positive and negative
+    windows, as AUC needs."""
+    n_pos = sum(s.label for s in dataset.sequences)
+    n_neg = len(dataset.sequences) - n_pos
+    if not n_pos or not n_neg:
+        raise DataError(f"{dataset.split} split has {n_pos} positives / {n_neg} "
+                        "negatives; AUC needs both classes")
 
 
 def _dataset_auc(dataset: Dataset, params: Parameters,
                  config: ModelConfig) -> float:
-    scores = predict_scores(dataset, params, config)
     labels = [s.label for s in dataset.sequences]
-    return mt.auc(mt.ScoredSet.of(scores, labels))
+    return mt.auc(mt.ScoredSet.of(predict_scores(dataset, params, config), labels))
 
 
 def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
@@ -194,9 +202,8 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
     model_config.validate()
     train_config.validate()
     if not train_ds.sequences:
-        raise ValueError("empty training dataset")
-    if not valid_ds.sequences:
-        raise ValueError("empty validation dataset")
+        raise DataError(f"{train_ds.split} split is empty; nothing to train on")
+    require_both_classes(valid_ds)
 
     n = train_ds.schema.n
     params = init_parameters(model_config, n, train_config.seed)
@@ -208,7 +215,7 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
     evals_since_improvement = 0
     log: list[EpochRecord] = []
     diverged = False
-    packed = batched.pack(train_ds.sequences, batched.max_entries(train_ds.sequences))
+    packed = pack(train_ds.sequences)
 
     for epoch in range(1, train_config.max_epochs + 1):
         started = time.perf_counter()
@@ -219,8 +226,8 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
         try:
             for lo in range(0, len(order), train_config.batch_size):
                 batch = packed.take(order[lo:lo + train_config.batch_size])
-                loss, grads = batched.loss_and_grads(batch, params, model_config,
-                                                     train_config.pos_weight)
+                loss, grads = loss_and_grads(batch, params, model_config,
+                                             train_config.pos_weight)
                 if not np.isfinite(loss):
                     raise NumericalError(f"training loss diverged: {loss}")
                 params, state = optimizer_step(params, grads, state, train_config)
@@ -306,13 +313,13 @@ def grad_check_mode(sequences: Sequence[EventSequence], n: int,
     and softmax paths are exercised away from non-differentiable points.
     """
     params = random_parameters(model_config, n, seed)
-    batch = batched.pack(sequences, batched.max_entries(sequences))
+    batch = pack(sequences)
 
     def total_loss(arrays: Mapping[str, np.ndarray]) -> float:
-        logits = batched.logits(batch, Parameters(dict(arrays)), model_config)
-        return sum(nll_loss(z, s.label) for z, s in zip(logits, sequences))
+        zs = logits(batch, Parameters(dict(arrays)), model_config)
+        return sum(nll_loss(z, s.label) for z, s in zip(zs, sequences))
 
-    _, grads = batched.loss_and_grads(batch, params, model_config)
+    _, grads = loss_and_grads(batch, params, model_config)
     # loss_and_grads gives the batch mean
     analytic = {name: g * len(sequences) for name, g in grads.items()}
 

@@ -1,8 +1,9 @@
 """Per-window tape: the reference the batched engine is tested against.
 
-Not part of the library. ``nhfm.batched`` trains and scores; this module
-keeps an independent, op-by-op implementation of the same model so the
-tests can compare the batched logits, loss and gradients with it.
+Not part of the library. The batched engine in ``nhfm.model`` trains and
+scores; this module keeps an independent, op-by-op implementation of the
+same model so the tests can compare the batched logits, loss and
+gradients with it.
 
 Tensors are C-contiguous ``numpy`` float64 arrays. A :class:`Tape` records
 every operation as an append-only node list; node ids are topologically
@@ -28,11 +29,18 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from nhfm.autodiff import as_tensor, finite_diff_errors, sigmoid_values
+from nhfm.autodiff import finite_diff_errors
 from nhfm.data import Event, EventSequence
-from nhfm.model import ModelConfig, Parameters, probabilities
+from nhfm.model import ModelConfig, Parameters, probabilities, sigmoid_values
 
 Array = np.ndarray
+
+
+def as_tensor(x) -> Array:
+    """Coerce to a C-contiguous float64 array (0-d stays 0-d)."""
+    arr = np.asarray(x, dtype=np.float64)
+    return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
+
 
 class Node:
     """One recorded operation: kind, input node ids, forward value.

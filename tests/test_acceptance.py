@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhfm import batched as bt
 from nhfm import checkpoint as cp
 from nhfm import data as d
 from nhfm import metrics as mt
@@ -27,7 +26,7 @@ from nhfm import model as m
 from nhfm import movielens as ml
 from nhfm import synthetic as syn
 from nhfm import training as tr
-from nhfm.batched import SCORE_ROWS
+from nhfm.model import SCORE_ROWS
 
 
 def _report(criterion, detail):
@@ -44,7 +43,7 @@ def pairwise_oracle(vectors):
 
 def test_criterion_1_fm_pooling_identity_oracle():
     """1,000 random events: the shipped pooling identity
-    (``batched._fm_pool``) equals the pairwise double sum within 1e-10
+    (``model._fm_pool``) equals the pairwise double sum within 1e-10
     absolute, in under 10 seconds."""
     rng = np.random.default_rng(1001)
     started = time.perf_counter()
@@ -54,7 +53,7 @@ def test_criterion_1_fm_pooling_identity_oracle():
         m_rows = int(rng.integers(0, 9))
         rows = rng.uniform(-2, 2, (m_rows, k))
 
-        got, _ = bt._fm_pool(rows, axis=0)
+        got, _ = m._fm_pool(rows, axis=0)
         want = pairwise_oracle(list(rows)) if m_rows >= 2 else np.zeros(k)
         worst = max(worst, float(np.max(np.abs(got - want))))
 
@@ -62,7 +61,7 @@ def test_criterion_1_fm_pooling_identity_oracle():
         n_hist = int(rng.integers(0, 9))
         vecs = rng.uniform(-2, 2, (n_hist, k))
         mask = rng.integers(0, 2, n_hist)
-        got2, _ = bt._fm_pool(vecs * mask[:, None], axis=0)
+        got2, _ = m._fm_pool(vecs * mask[:, None], axis=0)
         want2 = pairwise_oracle([mask[i] * vecs[i] for i in range(n_hist)]) \
             if n_hist >= 2 else np.zeros(k)
         worst = max(worst, float(np.max(np.abs(got2 - want2))))

@@ -5,11 +5,10 @@ a window's score."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tape_oracle as to
-from nhfm import batched as bt
 from nhfm import data as d
 from nhfm import model as m
 from nhfm import training as tr
@@ -18,11 +17,12 @@ N_FIELDS, VOCAB, T_MAX = 4, 5, 6
 N_FEATURES = N_FIELDS * VOCAB
 
 
-def random_event(rng, full: bool = False) -> d.Event:
-    """One entry for each of a random subset of fields (all fields when
-    ``full``); the last field is numerical, with a value in [0, 1]."""
-    fields = range(N_FIELDS) if full else sorted(
-        rng.choice(N_FIELDS, size=int(rng.integers(0, N_FIELDS + 1)), replace=False))
+def random_event(rng, full: bool = False, width: int = N_FIELDS) -> d.Event:
+    """One entry for each of a random subset of at most ``width`` fields
+    (the first ``width`` fields when ``full``); the last field is
+    numerical, with a value in [0, 1]."""
+    fields = range(width) if full else sorted(
+        rng.choice(N_FIELDS, size=int(rng.integers(0, width + 1)), replace=False))
     entries = []
     for f in fields:
         if f == N_FIELDS - 1:
@@ -32,12 +32,15 @@ def random_event(rng, full: bool = False) -> d.Event:
     return d.Event(tuple(entries))
 
 
-def random_window(rng, n_history: int, t_max: int = T_MAX) -> d.EventSequence:
-    """A window with ``n_history`` real history events; its current event
-    has every field, so every set of windows has the same entry width."""
+def random_window(rng, n_history: int, t_max: int = T_MAX,
+                  width: int = N_FIELDS) -> d.EventSequence:
+    """A window with ``n_history`` real history events of at most ``width``
+    entries; its current event has exactly ``width``, so the window packs
+    ``width`` wide."""
     pad = t_max - 1 - n_history
-    events = [d.PADDING_EVENT] * pad + [random_event(rng) for _ in range(n_history)]
-    events.append(random_event(rng, full=True))
+    events = [d.PADDING_EVENT] * pad + [random_event(rng, width=width)
+                                        for _ in range(n_history)]
+    events.append(random_event(rng, full=True, width=width))
     return d.EventSequence(events, [0] * pad + [1] * (n_history + 1),
                            int(rng.integers(2)), "u")
 
@@ -47,9 +50,10 @@ def left_pad(seq: d.EventSequence, extra: int) -> d.EventSequence:
                            [0] * extra + seq.q, seq.label, seq.user)
 
 
-def window_pool(seed: int, count: int) -> list:
+def window_pool(seed: int, count: int, width: int = N_FIELDS) -> list:
     rng = np.random.default_rng(seed)
-    return [random_window(rng, int(rng.integers(T_MAX))) for _ in range(count)]
+    return [random_window(rng, int(rng.integers(T_MAX)), width=width)
+            for _ in range(count)]
 
 
 def close(got, want, tol):
@@ -66,12 +70,12 @@ def test_logits_and_gradients_match_the_tape(variant, pos_weight):
     windows[1] = d.EventSequence(windows[1].events, windows[1].q, 1, "u")
     config = m.ModelConfig(variant=variant, k=4, h=3, mlp_widths=(5, 3, 1), t_max=T_MAX)
     params = m.random_parameters(config, N_FEATURES, seed=5)
-    batch = bt.pack(windows, bt.max_entries(windows))
+    batch = m.pack(windows)
 
     tape_logits = np.array([to.forward(s, params, config).logit for s in windows])
-    assert np.all(close(bt.logits(batch, params, config), tape_logits, 1e-10))
+    assert np.all(close(m.logits(batch, params, config), tape_logits, 1e-10))
 
-    loss, grads = bt.loss_and_grads(batch, params, config, pos_weight)
+    loss, grads = m.loss_and_grads(batch, params, config, pos_weight)
     tape_loss = 0.0
     tape_grads = {name: np.zeros_like(v) for name, v in params.items()}
     for seq in windows:
@@ -116,10 +120,10 @@ def test_windows_without_history_slots():
     windows = [random_window(rng, 0, t_max=1) for _ in range(4)]
     config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=1)
     params = m.random_parameters(config, N_FEATURES, seed=6)
-    batch = bt.pack(windows, N_FIELDS)
+    batch = m.pack(windows)
     tape_logits = np.array([to.forward(s, params, config).logit for s in windows])
-    assert np.all(close(bt.logits(batch, params, config), tape_logits, 1e-10))
-    _, grads = bt.loss_and_grads(batch, params, config)
+    assert np.all(close(m.logits(batch, params, config), tape_logits, 1e-10))
+    _, grads = m.loss_and_grads(batch, params, config)
     assert not np.any(grads["lstm.fwd.Wi"]) and not np.any(grads["attn.F1.W"])
 
 
@@ -127,14 +131,16 @@ def test_filler_rows_are_empty_and_score_finite():
     windows = window_pool(3, 5)
     config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=T_MAX)
     params = m.random_parameters(config, N_FEATURES, seed=2)
-    batch = bt.pack(windows, N_FIELDS, rows=8)
+    batch = m.pack(windows, rows=8)
     assert not batch.q[5:].any() and not batch.val[5:].any()
-    assert np.all(np.isfinite(bt.logits(batch, params, config)))
+    assert np.all(np.isfinite(m.logits(batch, params, config)))
 
 
 SCORE_CONFIG = m.ModelConfig(variant="full", k=16, h=16, mlp_widths=(32, 16, 1),
                              t_max=T_MAX)
-SCORE_POOL = window_pool(11, 40)
+# full-width windows and narrower ones, so a window is often scored next to
+# batchmates wider than itself
+SCORE_POOL = window_pool(11, 40) + window_pool(12, 20, width=3)
 SCORE_PARAMS = m.random_parameters(SCORE_CONFIG, N_FEATURES, seed=13)
 
 
@@ -144,8 +150,11 @@ def scores_of(windows):
 
 @settings(max_examples=40, deadline=None)
 @given(target=st.integers(0, len(SCORE_POOL) - 1),
-       mates=st.lists(st.integers(0, len(SCORE_POOL) - 1), max_size=3 * bt.SCORE_ROWS),
-       at=st.integers(0, 3 * bt.SCORE_ROWS))
+       mates=st.lists(st.integers(0, len(SCORE_POOL) - 1), max_size=3 * m.SCORE_ROWS),
+       at=st.integers(0, 3 * m.SCORE_ROWS))
+# a three-wide window after a four-wide one: summed over the batch's pad
+# width, its wide term once rounded differently than alone
+@example(target=50, mates=[0], at=1)
 def test_score_ignores_batchmates_and_position(target, mates, at):
     alone = scores_of([SCORE_POOL[target]])[0]
     windows = [SCORE_POOL[i] for i in mates]
@@ -164,6 +173,6 @@ def test_left_padding_barely_moves_a_logit(picks, extra, variant):
     params = m.random_parameters(config, N_FEATURES, seed=13)
     windows = [SCORE_POOL[i] for i in picks]
     padded = [left_pad(s, extra) for s in windows]
-    short = bt.logits(bt.pack(windows, N_FIELDS), params, config)
-    long = bt.logits(bt.pack(padded, N_FIELDS), params, config)
+    short = m.logits(m.pack(windows), params, config)
+    long = m.logits(m.pack(padded), params, config)
     assert np.all(close(long, short, 1e-12))

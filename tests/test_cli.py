@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhfm
-from nhfm import batched as bt
 from nhfm import checkpoint as cp
 from nhfm import model as m
 from nhfm import training as tr
@@ -226,6 +225,40 @@ class TestGenericJsonl:
         assert run_cli("preprocess", "--config", config, "--force") == 2
         assert ":12: __label must be 0 or 1, got 2" in capsys.readouterr().err
 
+    def ten_event_run(self, tmp_path, label):
+        """Six users of ten events, labelled ``label(user, event)``; each
+        user's last two events fall to the valid and the test split."""
+        lines = [self.line(user=f"u{u}", ts=t, label=label(u, t), color=f"c{(u + t) % 3}")
+                 for u in range(6) for t in range(10)]
+        cfg = {"dataset": {"kind": "generic", "t_max": 3, "fields": {"color": "categorical"},
+                           "path": str(self.write(tmp_path, *lines))},
+               "model": {"k": 2, "h": 2, "mlp_widths": [2, 1]},
+               "train": {"max_epochs": 1}, "seeds": [1],
+               "out_dir": str(tmp_path / "run")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        return config, tmp_path / "run"
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_train_rejects_a_one_class_split_before_training(self, tmp_path, capsys, split):
+        one_class = 8 if split == "valid" else 9
+        config, out = self.ten_event_run(
+            tmp_path, lambda u, t: 0 if t == one_class else (u + t) % 2)
+        assert run_cli("preprocess", "--config", config) == 0
+        assert f"{split}: 6 sequences (0 pos / 6 neg)" in capsys.readouterr().out
+        assert run_cli("train", "--config", config) == 2
+        assert f"{split} split has 0 positives / 6 negatives" in capsys.readouterr().err
+        assert not list(out.glob("seed-*"))
+
+    def test_eval_rejects_a_one_class_split(self, tmp_path, capsys):
+        # training windows are all negative, which training allows
+        config, out = self.ten_event_run(tmp_path, lambda u, t: (u + t) % 2 if t >= 8 else 0)
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--config", config, "--split", "train") == 2
+        assert "train split has 0 positives / 48 negatives" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_report(self, capsys):
@@ -235,14 +268,14 @@ class TestGradcheckCommand:
         assert "worst:" in printed
 
     def test_checks_the_batched_backward(self, monkeypatch, capsys):
-        true_backward = bt._mlp_backward
+        true_backward = m._mlp_backward
 
         def scaled_backward(dout, cache, params, grads):
             dx = true_backward(dout, cache, params, grads)
             grads["mlp.0.W"] = 1.05 * grads["mlp.0.W"]
             return dx
 
-        monkeypatch.setattr(bt, "_mlp_backward", scaled_backward)
+        monkeypatch.setattr(m, "_mlp_backward", scaled_backward)
         assert run_cli("gradcheck") == 3
         printed = capsys.readouterr().out
         assert "FAIL mlp.0.W" in printed

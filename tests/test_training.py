@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import tape_oracle as to
-from nhfm import batched as bt
 from nhfm import data as d
 from nhfm import model as m
 from nhfm import synthetic as syn
 from nhfm import training as tr
-from nhfm.errors import NumericalError
+from nhfm.errors import DataError, NumericalError
 
 
 class TestNLLLoss:
@@ -172,8 +171,19 @@ class TestTrainLoop:
         ds = syn.synth_generate(spec, seed=1)
         config = m.ModelConfig(variant="full", k=2, h=2, mlp_widths=(2, 1), t_max=4)
         empty = d.Dataset(ds.schema, [], "train")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(DataError, match="train split is empty"):
             tr.train(empty, ds, config, tr.TrainConfig())
+
+    @pytest.mark.parametrize("keep", [(), (0,), (1,)])
+    def test_validation_split_needs_both_classes(self, keep):
+        spec = syn.SynthSpec(n_users=5, t_max=4)
+        ds = syn.synth_generate(spec, seed=1)
+        config = m.ModelConfig(variant="full", k=2, h=2, mlp_widths=(2, 1), t_max=4)
+        valid = d.Dataset(ds.schema, [s for s in ds.sequences if s.label in keep], "valid")
+        n_pos = sum(s.label for s in valid.sequences)
+        with pytest.raises(DataError, match=f"valid split has {n_pos} positives / "
+                                            f"{len(valid.sequences) - n_pos} negatives"):
+            tr.train(ds, valid, config, tr.TrainConfig())
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_returns_last_good_parameters(self):
@@ -227,7 +237,7 @@ class TestGradCheckMode:
             live += grads["embed.V"]
         assert np.max(np.abs(live)) > 1e-6
 
-        true_pool = bt._fm_pool
+        true_pool = m._fm_pool
 
         def broken_pool(u, axis):
             # the pooled value stays right, so the loss does too; only the
@@ -235,7 +245,7 @@ class TestGradCheckMode:
             pooled, total = true_pool(u, axis)
             return pooled, 1.05 * total
 
-        monkeypatch.setattr(bt, "_fm_pool", broken_pool)
+        monkeypatch.setattr(m, "_fm_pool", broken_pool)
         report = tr.grad_check_mode(probe, ds.schema.n, config, seed=8)
         assert not report.passed()
         err, _ = report.per_group["embed.V"]
