@@ -23,13 +23,61 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureSchema
-from .dataset_io import ByteReader, write_string, write_varint
-from .errors import CheckpointError
+from .dataset_io import decode_utf8
+from .errors import CheckpointError, FormatError
 from .model import ModelConfig, Parameters, parameter_shapes
 from .training import OptimizerState
 
 CHECKPOINT_MAGIC = b"NHFMCK1"
 CHECKPOINT_VERSION = 1
+
+
+def write_varint(out: bytearray, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"varints are unsigned, got {value}")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+class ByteReader:
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise FormatError(f"truncated file: expected {n} bytes for {what}, "
+                              f"got {len(self.blob) - self.pos}")
+        chunk = self.blob[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
+
+    def varint(self, what: str) -> int:
+        shift, value = 0, 0
+        while True:
+            byte = self.take(1, what)[0]
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return value
+            shift += 7
+            if shift > 63:
+                raise FormatError(f"varint for {what} exceeds 64 bits")
+
+    def string(self, what: str) -> str:
+        length = self.varint(f"{what} length")
+        return decode_utf8(self.take(length, what), what)
+
+
+def write_string(out: bytearray, s: str) -> None:
+    raw = s.encode("utf-8")
+    write_varint(out, len(raw))
+    out.extend(raw)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Command-line entry point: preprocess, multi-seed train, eval, gradcheck,
-and explain, all driven by one JSON config with dotted-path overrides.
+and explain, all driven by one JSON config with dotted-path overrides, and
+inspect, which summarizes one dataset file.
 
 A run directory is laid out as:
 
@@ -214,8 +215,8 @@ class RunConfig:
 
 
 def _encode_records(records: list[dict], field_config: dict, ratios, t_max: int
-                    ) -> tuple[d.FeatureSchema, list[d.EventSequence]]:
-    """Schema and windows for records sorted by user and time. The schema
+                    ) -> d.Dataset:
+    """The windows of records sorted by user and time. The schema
     is fit on each user's earliest training fraction only, mirroring the
     chronological split so later tokens can fall to OOV."""
     per_user: dict[str, list[dict]] = {}
@@ -228,7 +229,7 @@ def _encode_records(records: list[dict], field_config: dict, ratios, t_max: int
     schema = d.fit_schema(train_records, field_config)
     streams = {user: [(d.encode_event(rec, schema), int(rec["__label"])) for rec in recs]
                for user, recs in per_user.items()}
-    return schema, d.assemble_sequences(streams, t_max)
+    return d.Dataset(schema, store=d.assemble_sequences(streams, t_max))
 
 
 def ingest_generic(path) -> list[dict]:
@@ -283,8 +284,7 @@ def prepare_datasets(cfg: RunConfig):
         synth_cfg["t_max"] = t_max
         spec = _checked("dataset.synth", lambda: _synth_spec(synth_cfg))
         seed = _checked("dataset.synth_seed", lambda: _seed(ds_cfg.get("synth_seed", 0)))
-        full = syn.synth_generate(spec, seed=seed)
-        return d.split(full.sequences, ratios, schema=full.schema)
+        return d.split(syn.synth_generate(spec, seed=seed), ratios)
     if kind == "movielens":
         root = ds_cfg.get("movielens_dir")
         if not root:
@@ -302,23 +302,21 @@ def prepare_datasets(cfg: RunConfig):
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
 
-    schema, sequences = _encode_records(records, fields, ratios, t_max)
-    return d.split(sequences, ratios, schema=schema)
+    return d.split(_encode_records(records, fields, ratios, t_max), ratios)
 
 
 def table_stats(datasets) -> str:
     """Summary statistics in the #pos / #neg / #fields / #events layout."""
-    all_seqs = [s for ds in datasets for s in ds.sequences]
-    n_pos = sum(s.label for s in all_seqs)
+    counts = [(len(ds.store), int(np.count_nonzero(ds.store.label))) for ds in datasets]
+    n_all = sum(n for n, _ in counts)
+    n_pos = sum(pos for _, pos in counts)
     schema = datasets[0].schema
     lines = [
-        f"#pos={n_pos} #neg={len(all_seqs) - n_pos} "
-        f"#fields={len(schema.fields)} #events={len(all_seqs)}",
+        f"#pos={n_pos} #neg={n_all - n_pos} "
+        f"#fields={len(schema.fields)} #events={n_all}",
     ]
-    for ds in datasets:
-        pos = sum(s.label for s in ds.sequences)
-        lines.append(f"  {ds.split}: {len(ds.sequences)} sequences "
-                     f"({pos} pos / {len(ds.sequences) - pos} neg)")
+    for ds, (n, pos) in zip(datasets, counts):
+        lines.append(f"  {ds.split}: {n} sequences ({pos} pos / {n - pos} neg)")
     return "\n".join(lines) + "\n"
 
 
@@ -358,9 +356,8 @@ def _load_run_data(out: Path):
 
 
 def _scores_and_labels(dataset, params, config):
-    scores = tr.predict_scores(dataset, params, config)
-    labels = np.array([s.label for s in dataset.sequences])
-    return mt.ScoredSet.of(scores, labels)
+    return mt.ScoredSet.of(tr.predict_scores(dataset, params, config),
+                            dataset.store.label)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +564,9 @@ def gradcheck(config_path, overrides):
 @option_config
 @option_out
 @option_set
-@click.option("--count", type=int, default=10, help="Features per direction.")
-@click.option("--sequences", "n_sequences", type=int, default=3,
+@click.option("--count", type=click.IntRange(min=0), default=10,
+              help="Features per direction.")
+@click.option("--sequences", "n_sequences", type=click.IntRange(min=0), default=3,
               help="How many positive test sequences to explain.")
 @click.option("--seed", "seed_flag", type=int, default=None,
               help="Explain this seed's checkpoint (default: first found).")
@@ -590,18 +588,43 @@ def explain(config_path, out_dir, overrides, count, n_sequences, seed_flag):
     pieces.append(ex.render_feature_ranking(
         ex.top_wide_features(ck, schema, count, "low")))
 
-    test = splits["test"]
-    scores = tr.predict_scores(test, ck.params, ck.model_config)
-    positives = [(score, i) for i, score in enumerate(scores)
-                 if test.sequences[i].label == 1]
-    positives.sort(key=lambda t: -t[0])
-    for score, i in positives[:n_sequences]:
-        pieces.append(ex.render_event_report(
-            ex.attention_report(ck, test.sequences[i], schema)))
+    if not ck.model_config.uses_attention():
+        pieces.append(f"No attention report: variant {ck.model_config.variant!r} has no "
+                      "attention weights; it needs a beta or full checkpoint.\n")
+    else:
+        test = splits["test"]
+        scores = tr.predict_scores(test, ck.params, ck.model_config)
+        positives = np.flatnonzero(test.store.label == 1)
+        top = positives[np.argsort(-scores[positives], kind="stable")[:n_sequences]]
+        for i in top.tolist():
+            pieces.append(ex.render_event_report(
+                ex.attention_report(ck, test.sequences[i], schema)))
 
     text = "\n".join(pieces)
     (out / "explain.txt").write_text(text, encoding="utf-8")
     click.echo(text, nl=False)
+
+
+@cli.command()
+@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--schema", "schema_path", type=click.Path(exists=True, dir_okay=False),
+              default=None, help="Schema file (default: schema.json beside PATH).")
+def inspect(path, schema_path):
+    """Summarize one .nhfmds dataset file from its arrays."""
+    path = Path(path)
+    schema = dio.load_schema(schema_path or path.parent / "schema.json")
+    dataset = dio.read_dataset(path, schema)
+    store = dataset.store
+    n = len(store)
+    n_pos = int(np.count_nonzero(store.label))
+    size = path.stat().st_size
+    click.echo(f"split: {dataset.split}\n"
+               f"windows: {n}\n"
+               f"distinct events: {len(store.count) - 1}\n"
+               f"t_max: {store.t_max}\n"
+               f"bytes: {size} ({size / n if n else 0:.1f} per window)\n"
+               f"labels: {n_pos} pos / {n - n_pos} neg "
+               f"({n_pos / n if n else 0:.1%} positive)")
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,18 @@
-"""Feature schema, sparse event encoding, and sequence assembly.
+"""Feature schema, sparse event encoding, and the event store of windows.
 
 A raw record is a flat ``{field: value}`` mapping plus the meta keys
 ``__user``, ``__ts`` and ``__label``. Fitting a schema assigns every
 categorical token (plus one out-of-vocabulary slot per field) and every
 numerical field a global feature index; encoding turns records into sparse
 events; assembly windows each user's chronological events into padded,
-right-aligned sequences whose last slot is the prediction event.
+right-aligned windows whose last slot is the prediction event.
+
+Windows slide over a user's events, so consecutive windows repeat most of
+their events. An :class:`EventStore` therefore holds each distinct event
+of a user once, as one row of dense arrays, and each window as ``t_max``
+row references; training, scoring and the file format work on its
+arrays. ``Event`` and ``EventSequence`` objects are a decoded view of the
+store, built only when something reads ``Dataset.sequences``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError, FormatError
 
@@ -48,6 +58,7 @@ class FeatureSchema:
             self._base[f.name] = offset
             offset += f.width()
         self.n = offset
+        self._digest: bytes | None = None
 
     def field_base(self, name: str) -> int:
         return self._base[name]
@@ -124,8 +135,12 @@ class FeatureSchema:
             raise FormatError(f"schema fields are malformed: {exc!r}") from None
 
     def hash(self) -> bytes:
-        """32-byte digest identifying this schema exactly."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).digest()
+        """32-byte digest identifying this schema exactly. Like the index
+        map, it is worked out once: fields are not changed after
+        construction. Every dataset read and checkpoint check asks for it."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_json().encode("utf-8")).digest()
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -185,11 +200,126 @@ class EventSequence:
                 raise DataError("padding must be a contiguous left prefix")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class EventStore:
+    """Windows as row references into one table of events.
+
+    Each distinct event of a user is one row: its ``count`` entries are
+    left-aligned in ``idx`` and ``val``, and the rest of the row holds
+    index 0 and value 0, so it adds nothing to the model. Row 0 is the
+    empty sentinel that every padded slot references. A window is a row of
+    ``rows``: ``t_max`` references, padding (0) as a left prefix and the
+    prediction event last.
+    """
+
+    idx: np.ndarray     # (E, F) int32 feature indices
+    val: np.ndarray     # (E, F) float64 feature values
+    count: np.ndarray   # (E,) int32 entries per row; row 0 has none
+    rows: np.ndarray    # (W, t_max) int32 row references, 0 on padded slots
+    label: np.ndarray   # (W,) uint8
+    user: np.ndarray    # (W,) int32 positions in ``users``
+    users: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def t_max(self) -> int:
+        return self.rows.shape[1]
+
+    @classmethod
+    def build(cls, events: Sequence[Event], rows, label, user,
+              users: Sequence[str], t_max: int) -> "EventStore":
+        """A store over ``events``, whose first is the padding sentinel,
+        and windows given as flat row references."""
+        entries = [ev.entries for ev in events]
+        count = np.fromiter(map(len, entries), dtype=np.int32, count=len(entries))
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(entries)),
+                            dtype=np.float64).reshape(-1, 2)
+        if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < 2**31:
+            raise DataError("a feature index is outside 0..2^31-1")
+        present = np.arange(count.max(initial=0)) < count[:, None]
+        idx = np.zeros(present.shape, dtype=np.int32)
+        val = np.zeros(present.shape)
+        idx[present] = pairs[:, 0]
+        val[present] = pairs[:, 1]
+        label = np.asarray(label, dtype=np.uint8)
+        return cls(idx, val, count,
+                   np.asarray(rows, dtype=np.int32).reshape(len(label), t_max),
+                   label, np.asarray(user, dtype=np.int32), tuple(users))
+
+    @classmethod
+    def of(cls, sequences: Sequence[EventSequence]) -> "EventStore":
+        """The store of ``sequences``, which share one t_max; equal events
+        of one user become one row."""
+        t_max = sequences[0].t_max if sequences else 0
+        events: list[Event] = [PADDING_EVENT]
+        users: dict[str, int] = {}
+        memo: dict[tuple[int, Event], int] = {}
+        refs: list[int] = []
+        for seq in sequences:
+            if seq.t_max != t_max:
+                raise DataError(f"mixed t_max in one dataset: {seq.t_max} vs {t_max}")
+            u = users.setdefault(seq.user, len(users))
+            real = [ev for ev, qt in zip(seq.events, seq.q) if qt == 1]
+            refs += [0] * (t_max - len(real))
+            for ev in real:
+                row = memo.setdefault((u, ev), len(events))
+                if row == len(events):
+                    events.append(ev)
+                refs.append(row)
+        return cls.build(events, refs, [s.label for s in sequences],
+                         [users[s.user] for s in sequences], users, t_max)
+
+    def take(self, windows) -> "EventStore":
+        """The windows at positions ``windows``, in that order, with only
+        the rows and users they reference."""
+        rows = self.rows[windows]
+        keep = np.union1d(0, rows)
+        width = int(self.count[keep].max(initial=0))
+        kept_users, user = np.unique(self.user[windows], return_inverse=True)
+        return EventStore(self.idx[keep, :width], self.val[keep, :width],
+                          self.count[keep], np.searchsorted(keep, rows).astype(np.int32),
+                          self.label[windows], user.astype(np.int32),
+                          tuple(self.users[u] for u in kept_users.tolist()))
+
+    def views(self) -> list[EventSequence]:
+        """Every window decoded; the windows referencing a row share one
+        ``Event``."""
+        events = [PADDING_EVENT] + [
+            Event(tuple(zip(i[:c], v[:c])))
+            for i, v, c in zip(self.idx[1:].tolist(), self.val[1:].tolist(),
+                               self.count[1:].tolist())]
+        return [EventSequence([events[r] for r in refs], [1 if r else 0 for r in refs],
+                              label, self.users[u])
+                for refs, label, u in zip(self.rows.tolist(), self.label.tolist(),
+                                          self.user.tolist())]
+
+
 class Dataset:
-    schema: FeatureSchema
-    sequences: list[EventSequence]
-    split: str = "all"
+    """One split's windows, held in an :class:`EventStore`.
+
+    Built from a list of windows, it keeps that list as ``sequences``;
+    built from a store, it decodes ``sequences`` on first read.
+    """
+
+    def __init__(self, schema: FeatureSchema | None,
+                 sequences: Sequence[EventSequence] = (), split: str = "all", *,
+                 store: EventStore | None = None):
+        self.schema = schema
+        self.split = split
+        if store is None:
+            store = EventStore.of(sequences)
+            self._sequences: list[EventSequence] | None = list(sequences)
+        else:
+            self._sequences = None
+        self.store = store
+
+    @property
+    def sequences(self) -> list[EventSequence]:
+        if self._sequences is None:
+            self._sequences = self.store.views()
+        return self._sequences
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +412,40 @@ def decode_event(event: Event, schema: FeatureSchema) -> dict[str, str | float]:
 
 
 def assemble_sequences(user_events: Mapping[str, Sequence[tuple[Event, int]]],
-                       t_max: int) -> list[EventSequence]:
+                       t_max: int) -> EventStore:
     """Slide a window over each user's chronological (event, label) stream.
 
-    Emits exactly one sequence per input event: its prediction slot is that
+    Emits exactly one window per input event: its prediction slot is that
     event, its history the up-to-``t_max - 1`` preceding events, left-padded
-    with masked empty slots when the history is shorter.
+    with the empty sentinel row when the history is shorter. Equal events
+    of one user share a row.
     """
     if t_max < 1:
         raise DataError(f"t_max must be >= 1, got {t_max}")
-    out: list[EventSequence] = []
+    events: list[Event] = [PADDING_EVENT]
+    slot_rows: list[int] = []
+    labels: list[int] = []
+    users: list[str] = []
+    lengths: list[int] = []
     for user, stream in user_events.items():
-        for j, (event, label) in enumerate(stream):
-            history = [ev for ev, _ in stream[max(0, j - (t_max - 1)):j]]
-            pad = t_max - 1 - len(history)
-            events = [PADDING_EVENT] * pad + history + [event]
-            q = [0] * pad + [1] * (len(history) + 1)
-            out.append(EventSequence(events, q, int(label), str(user)))
-    return out
+        if not stream:
+            continue
+        memo: dict[Event, int] = {}
+        for event, label in stream:
+            row = memo.setdefault(event, len(events))
+            if row == len(events):
+                events.append(event)
+            slot_rows.append(row)
+            labels.append(int(label))
+        users.append(str(user))
+        lengths.append(len(stream))
+    per_user = np.array(lengths, dtype=np.intp)
+    owner = np.repeat(np.arange(len(users)), per_user)
+    first = np.repeat(np.cumsum(per_user) - per_user, per_user)
+    slots = np.arange(len(slot_rows))[:, None] + np.arange(1 - t_max, 1)
+    slot_rows_arr = np.array(slot_rows, dtype=np.int32)
+    rows = np.where(slots >= first[:, None], slot_rows_arr[np.maximum(slots, 0)], 0)
+    return EventStore.build(events, rows, labels, owner, users, t_max)
 
 
 def split_counts(m: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -316,26 +462,27 @@ def split_counts(m: int, ratios: tuple[float, float, float]) -> tuple[int, int, 
     return m - n_valid - n_test, n_valid, n_test
 
 
-def split(sequences: Sequence[EventSequence],
-          ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-          schema: FeatureSchema | None = None) -> tuple[Dataset, Dataset, Dataset]:
-    """Per-user chronological split: earliest fraction to train, then valid,
-    then test. Nothing in it is random.
+def split(dataset: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+          ) -> tuple[Dataset, Dataset, Dataset]:
+    """Per-user chronological split: each user's earliest fraction of
+    windows to train, then valid, then test. Users keep the order of their
+    first window, and each user's windows keep their order. Nothing in it
+    is random.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    if not sequences:
-        raise DataError("cannot split an empty sequence list")
+    store = dataset.store
+    if not len(store):
+        raise DataError("cannot split an empty dataset")
 
-    by_user: dict[str, list[EventSequence]] = {}
-    for s in sequences:
-        by_user.setdefault(s.user, []).append(s)
-
-    parts: tuple[list[EventSequence], ...] = ([], [], [])
-    for user, seqs in by_user.items():
-        n_train, n_valid, _ = split_counts(len(seqs), ratios)
-        parts[0].extend(seqs[:n_train])
-        parts[1].extend(seqs[n_train:n_train + n_valid])
-        parts[2].extend(seqs[n_train + n_valid:])
-    tags = ("train", "valid", "test")
-    return tuple(Dataset(schema, part, tag) for part, tag in zip(parts, tags))  # type: ignore[return-value]
+    _, first = np.unique(store.user, return_index=True)
+    rank = np.empty(len(store.users), dtype=np.intp)  # users in order of first window
+    rank[store.user[np.sort(first)]] = np.arange(len(first))
+    order = np.argsort(rank[store.user], kind="stable")
+    group = rank[store.user[order]]
+    per_user = np.bincount(group)
+    at = np.arange(len(order)) - (np.cumsum(per_user) - per_user)[group]
+    ends = np.cumsum([split_counts(int(m), ratios)[:2] for m in per_user], axis=1)
+    part = (at[:, None] >= ends[group]).sum(axis=1)
+    return tuple(Dataset(dataset.schema, split=tag, store=store.take(order[part == p]))  # type: ignore[return-value]
+                 for p, tag in enumerate(("train", "valid", "test")))

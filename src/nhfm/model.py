@@ -11,11 +11,12 @@ variant: a parameter-free interaction pool over history event vectors
 the MLP input, and a linear wide term over all raw features joins the
 logit.
 
-One engine computes all of it. A batch of windows is packed into
-``idx (B, T, F)`` feature indices, ``val (B, T, F)`` feature values and
-``q (B, T)`` real-slot flags, where F is the largest entry count of any
-event among the packed windows. Padded entries carry index 0 and value 0,
-so they add nothing. Every layer then runs once per batch:
+One engine computes all of it. A batch of windows is gathered from an
+:class:`~nhfm.data.EventStore` into ``idx (B, T, F)`` feature indices,
+``val (B, T, F)`` feature values and ``q (B, T)`` real-slot flags, where F
+is the largest entry count of any event among the gathered windows.
+Padded entries carry index 0 and value 0, so they add nothing. Every
+layer then runs once per batch:
 
 * the in-event FM pool and the masked sequence FM pool;
 * self-importance attention with a softmax over real history slots only;
@@ -36,11 +37,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .data import EventSequence
+from .data import EventSequence, EventStore
 
 VARIANTS = ("alpha", "beta", "full")
 GATES = ("i", "f", "g", "o")
@@ -221,35 +221,25 @@ class Batch:
     q: np.ndarray      # (B, T) bool, True on real slots
     label: np.ndarray  # (B,) 0.0 / 1.0
 
-    def take(self, rows) -> "Batch":
-        return Batch(self.idx[rows], self.val[rows], self.q[rows], self.label[rows])
+
+def gather(store: EventStore, windows, rows: int | None = None) -> Batch:
+    """The windows at positions ``windows`` of ``store`` as padded arrays,
+    as wide as their widest event: one gather of event rows. With
+    ``rows``, empty windows (every slot the empty row 0, no real slot) fill
+    the batch up to that count."""
+    n = len(windows)
+    refs = np.zeros((n if rows is None else rows, store.t_max), dtype=np.intp)
+    refs[:n] = store.rows[windows]
+    width = int(store.count[refs].max(initial=0))
+    label = np.zeros(len(refs))
+    label[:n] = store.label[windows]
+    return Batch(store.idx[refs, :width].astype(np.intp), store.val[refs, :width],
+                 refs > 0, label)
 
 
 def pack(sequences: Sequence[EventSequence], rows: int | None = None) -> Batch:
-    """Padded arrays for ``sequences``, which share one t_max, as wide as
-    their widest event; with ``rows``, empty windows (no real slot) fill
-    the batch up to that count."""
-    n = len(sequences)
-    rows = n if rows is None else rows
-    t_max = sequences[0].t_max if sequences else 0
-    events = [ev.entries for s in sequences for ev in s.events]
-    counts = np.fromiter(map(len, events), dtype=np.intp, count=len(events))
-    width = int(counts.max(initial=0))
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(events)),
-                        dtype=np.float64).reshape(-1, 2)
-    present = np.zeros((rows * t_max, width), dtype=bool)
-    present[:n * t_max] = np.arange(width) < counts[:, None]
-    idx = np.zeros((rows * t_max, width), dtype=np.intp)
-    val = np.zeros((rows * t_max, width))
-    idx[present] = pairs[:, 0]
-    val[present] = pairs[:, 1]
-    q = np.zeros((rows, t_max), dtype=bool)
-    label = np.zeros(rows)
-    if n:
-        q[:n] = np.array([s.q for s in sequences]) == 1
-        label[:n] = [s.label for s in sequences]
-    shape = (rows, t_max, width)
-    return Batch(idx.reshape(shape), val.reshape(shape), q, label)
+    """:func:`gather` over a store of ``sequences``, which share one t_max."""
+    return gather(EventStore.of(sequences), np.arange(len(sequences)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +469,13 @@ def loss_and_grads(batch: Batch, params: Parameters, config: ModelConfig,
     return loss, grads
 
 
-def scores(sequences: Sequence[EventSequence], params: Parameters,
-           config: ModelConfig) -> np.ndarray:
+def scores(store: EventStore, params: Parameters, config: ModelConfig) -> np.ndarray:
     """Clamped probabilities for every window, ``SCORE_ROWS`` at a time."""
-    out = np.empty(len(sequences))
-    for lo in range(0, len(sequences), SCORE_ROWS):
-        chunk = sequences[lo:lo + SCORE_ROWS]
-        batch = pack(chunk, rows=SCORE_ROWS)
-        out[lo:lo + len(chunk)] = probabilities(logits(batch, params, config)[:len(chunk)])
+    out = np.empty(len(store))
+    for lo in range(0, len(store), SCORE_ROWS):
+        chunk = np.arange(lo, min(lo + SCORE_ROWS, len(store)))
+        batch = gather(store, chunk, rows=SCORE_ROWS)
+        out[chunk] = probabilities(logits(batch, params, config)[:len(chunk)])
     return out
 
 

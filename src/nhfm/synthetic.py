@@ -112,8 +112,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
             stream.append((encode_event(record, schema), label))
         user_events[f"u{u}"] = stream
 
-    sequences = assemble_sequences(user_events, spec.t_max)
-    return Dataset(schema, sequences, "all")
+    return Dataset(schema, store=assemble_sequences(user_events, spec.t_max))
 
 
 def rule_fires(seq: EventSequence, schema: FeatureSchema,

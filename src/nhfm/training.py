@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import metrics as mt
 from .data import Dataset, EventSequence
 from .errors import DataError, NumericalError
-from .model import (ModelConfig, Parameters, init_parameters, logits,
+from .model import (ModelConfig, Parameters, gather, init_parameters, logits,
                     loss_and_grads, pack, random_parameters, scores)
 
 
@@ -170,14 +170,14 @@ class TrainResult:
 
 def predict_scores(dataset: Dataset, params: Parameters,
                    config: ModelConfig) -> np.ndarray:
-    return scores(dataset.sequences, params, config)
+    return scores(dataset.store, params, config)
 
 
 def require_both_classes(dataset: Dataset) -> None:
     """Raise ``DataError`` unless ``dataset`` holds positive and negative
     windows, as AUC needs."""
-    n_pos = sum(s.label for s in dataset.sequences)
-    n_neg = len(dataset.sequences) - n_pos
+    n_pos = int(np.count_nonzero(dataset.store.label))
+    n_neg = len(dataset.store) - n_pos
     if not n_pos or not n_neg:
         raise DataError(f"{dataset.split} split has {n_pos} positives / {n_neg} "
                         "negatives; AUC needs both classes")
@@ -185,8 +185,8 @@ def require_both_classes(dataset: Dataset) -> None:
 
 def _dataset_auc(dataset: Dataset, params: Parameters,
                  config: ModelConfig) -> float:
-    labels = [s.label for s in dataset.sequences]
-    return mt.auc(mt.ScoredSet.of(predict_scores(dataset, params, config), labels))
+    return mt.auc(mt.ScoredSet.of(predict_scores(dataset, params, config),
+                                  dataset.store.label))
 
 
 def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
@@ -194,14 +194,15 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
           log_fn: Callable[[str], None] | None = None) -> TrainResult:
     """Single-seed training run returning the best-validation parameters.
 
-    Epoch shuffles draw from a (seed, epoch) stream; the training split is
-    packed once and each batch is taken from it; validation AUC drives early
+    Epoch shuffles draw from a (seed, epoch) stream; each batch is gathered
+    from the training split's event store; validation AUC drives early
     stopping with the configured patience. Divergence (non-finite loss or
     gradient) stops training and returns the last good parameters.
     """
     model_config.validate()
     train_config.validate()
-    if not train_ds.sequences:
+    store = train_ds.store
+    if not len(store):
         raise DataError(f"{train_ds.split} split is empty; nothing to train on")
     require_both_classes(valid_ds)
 
@@ -215,17 +216,16 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
     evals_since_improvement = 0
     log: list[EpochRecord] = []
     diverged = False
-    packed = pack(train_ds.sequences)
 
     for epoch in range(1, train_config.max_epochs + 1):
         started = time.perf_counter()
         rng = np.random.default_rng((train_config.seed, epoch))
-        order = rng.permutation(len(train_ds.sequences))
+        order = rng.permutation(len(store))
 
         epoch_loss, seen = 0.0, 0
         try:
             for lo in range(0, len(order), train_config.batch_size):
-                batch = packed.take(order[lo:lo + train_config.batch_size])
+                batch = gather(store, order[lo:lo + train_config.batch_size])
                 loss, grads = loss_and_grads(batch, params, model_config,
                                              train_config.pos_weight)
                 if not np.isfinite(loss):

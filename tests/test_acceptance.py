@@ -167,7 +167,7 @@ def test_criterion_5_planted_rule_learnability():
     all_labels = [s.label for s in ds.sequences]
     assert oracle == [float(label) for label in all_labels]
     assert mt.auc(mt.ScoredSet.of(oracle, all_labels)) == 1.0  # Bayes optimum
-    train_ds, valid_ds, test_ds = d.split(ds.sequences, schema=ds.schema)
+    train_ds, valid_ds, test_ds = d.split(ds)
     tcfg = tr.TrainConfig(seed=1, learning_rate=0.01, batch_size=32,
                           max_epochs=8, patience=3)
     result = tr.train(train_ds, valid_ds, PLANT_MODEL, tcfg)
@@ -192,7 +192,7 @@ def test_criterion_5_planted_rule_learnability():
                                    len_min=2, len_max=6, t_max=8,
                                    rule_strength=0.0, plant_rate=0.0)
     ds0 = syn.synth_generate(no_signal_spec, seed=11)
-    tr0, va0, te0 = d.split(ds0.sequences, schema=ds0.schema)
+    tr0, va0, te0 = d.split(ds0)
     res0 = tr.train(tr0, va0, PLANT_MODEL,
                     tr.TrainConfig(seed=1, learning_rate=0.01, batch_size=32,
                                    max_epochs=2, patience=5))
@@ -283,7 +283,7 @@ def test_criterion_7_fraud_style_spauc_report():
     spec = syn.SynthSpec(n_users=250, n_fields=3, vocab_size=8, len_min=3,
                          len_max=10, t_max=8, rule_strength=1.0, plant_rate=0.10)
     ds = syn.synth_generate(spec, seed=41)
-    train_ds, valid_ds, test_ds = d.split(ds.sequences, schema=ds.schema)
+    train_ds, valid_ds, test_ds = d.split(ds)
     labels = [s.label for s in test_ds.sequences]
     assert np.mean(labels) < 0.25  # imbalanced, fraud-style
     config = m.ModelConfig(variant="full", k=8, h=8, mlp_widths=(16, 1), t_max=8)
@@ -308,7 +308,7 @@ def _criterion_8_run():
     spec = syn.SynthSpec(n_users=40, n_fields=3, vocab_size=5, len_min=3,
                          len_max=7, t_max=5)
     ds = syn.synth_generate(spec, seed=5)
-    splits = d.split(ds.sequences, schema=ds.schema)
+    splits = d.split(ds)
     config = m.ModelConfig(variant="full", k=3, h=3, mlp_widths=(4, 1), t_max=5)
     res = tr.train(splits[0], splits[1], config,
                    tr.TrainConfig(seed=9, learning_rate=0.01, batch_size=8,

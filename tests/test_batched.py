@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pack_oracle as po
 import tape_oracle as to
 from nhfm import data as d
 from nhfm import model as m
@@ -134,6 +135,31 @@ def test_filler_rows_are_empty_and_score_finite():
     batch = m.pack(windows, rows=8)
     assert not batch.q[5:].any() and not batch.val[5:].any()
     assert np.all(np.isfinite(m.logits(batch, params, config)))
+
+
+def assert_same_batch(got: m.Batch, want: m.Batch) -> None:
+    for name in ("idx", "val", "q", "label"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=st.integers(0, 6), narrow=st.integers(0, 6),
+       filler=st.integers(0, 3), data=st.data())
+def test_gather_equals_the_list_packer(seed, wide, narrow, filler, data):
+    # full-width and narrower windows, some with empty real events
+    windows = window_pool(seed, wide) + window_pool(seed + 1, narrow, width=2)
+    if not windows:
+        windows = window_pool(seed, 1)
+    picks = data.draw(st.lists(st.integers(0, len(windows) - 1), min_size=1,
+                               max_size=2 * len(windows)))
+    picked = [windows[i] for i in picks]
+    rows = len(picked) + filler
+    want = po.pack(picked, rows=rows)
+    assert_same_batch(m.pack(picked, rows=rows), want)
+    assert_same_batch(m.gather(d.EventStore.of(windows), np.array(picks), rows=rows), want)
+    shuffled = data.draw(st.permutations(range(len(windows))))
+    assert_same_batch(m.pack([windows[i] for i in shuffled]),
+                      po.pack([windows[i] for i in shuffled]))
 
 
 SCORE_CONFIG = m.ModelConfig(variant="full", k=16, h=16, mlp_widths=(32, 16, 1),

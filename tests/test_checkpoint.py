@@ -70,6 +70,12 @@ class TestRoundTrip:
 
 
 class TestFraming:
+    def test_varint_round_trip(self):
+        for value in (0, 1, 127, 128, 300, 2**20, 2**40):
+            buf = bytearray()
+            cp.write_varint(buf, value)
+            assert cp.ByteReader(bytes(buf)).varint("x") == value
+
     def test_missing_file_names_the_path(self, tmp_path):
         path = tmp_path / "seed-1" / "checkpoint.nhfmck"
         with pytest.raises(CheckpointError, match=re.escape(f"cannot read checkpoint {path}")):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import nhfm
 from nhfm import checkpoint as cp
+from nhfm import dataset_io as dio
 from nhfm import model as m
 from nhfm import training as tr
 from nhfm.cli import DEFAULT_CONFIG, RunConfig, ingest_generic, main
@@ -183,6 +184,51 @@ class TestEvalExplain:
         assert "High-risk features" in text
         assert "Low-risk features" in text
         assert "user=" in text
+
+    def test_explain_on_an_alpha_checkpoint_ranks_features_only(self, config_file, capsys):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--variant", "alpha", "--seeds", "1") == 0
+        capsys.readouterr()
+        assert run_cli("explain", "--config", config, "--count", "4") == 0
+        text = (out / "explain.txt").read_text()
+        assert capsys.readouterr().out == text
+        assert "High-risk features" in text and "Low-risk features" in text
+        assert "user=" not in text
+        assert "needs a beta or full checkpoint" in text
+
+    @pytest.mark.parametrize("option", ["--count", "--sequences"])
+    def test_explain_refuses_negative_counts(self, trained, option, capsys):
+        config, out = trained
+        assert run_cli("explain", "--config", config, option, "-2") == 1
+        assert ">=0" in capsys.readouterr().err
+        assert not (out / "explain.txt").exists()
+        assert run_cli("explain", "--config", config, option, "0") == 0
+
+    def test_inspect_summarizes_a_dataset_file(self, config_file, capsys):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        capsys.readouterr()
+        path = out / "data" / "valid.nhfmds"
+        assert run_cli("inspect", path) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        schema = dio.load_schema(out / "data" / "schema.json")
+        store = dio.read_dataset(path, schema).store
+        n, pos = len(store), int(store.label.sum())
+        assert lines["split"] == "valid"
+        assert lines["windows"] == str(n)
+        assert lines["t_max"] == "5"
+        assert int(lines["distinct events"]) == len(store.count) - 1 < store.rows.astype(bool).sum()
+        assert lines["bytes"] == f"{path.stat().st_size} ({path.stat().st_size / n:.1f} per window)"
+        assert lines["labels"].startswith(f"{pos} pos / {n - pos} neg ")
+
+    def test_inspect_refuses_a_corrupt_file(self, config_file, capsys):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        path = out / "data" / "train.nhfmds"
+        path.write_bytes(path.read_bytes()[:-1])
+        assert run_cli("inspect", path) == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestGenericJsonl:

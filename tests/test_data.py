@@ -1,8 +1,9 @@
-"""Schema fitting, event encoding, sequence assembly, splitting, and the
-synthetic generator."""
+"""Schema fitting, event encoding, window assembly, splitting, the event
+store and its NHFMDS2 files, and the synthetic generator."""
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,13 +104,13 @@ class TestAssembleSequences:
                             {"color": d.CATEGORICAL})
 
     def test_single_event_fully_padded(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "a")}, t_max=10)
+        seqs = d.assemble_sequences({"u": self._stream(schema, "a")}, t_max=10).views()
         assert len(seqs) == 1
         assert seqs[0].q == [0] * 9 + [1]
         seqs[0].validate()
 
     def test_window_of_two(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "abc")}, t_max=2)
+        seqs = d.assemble_sequences({"u": self._stream(schema, "abc")}, t_max=2).views()
         assert len(seqs) == 3
         third = seqs[2]
         assert third.q == [1, 1]
@@ -120,17 +121,17 @@ class TestAssembleSequences:
     def test_one_sequence_per_event(self, schema):
         streams = {"u1": self._stream(schema, "abcab"),
                    "u2": self._stream(schema, "ca")}
-        seqs = d.assemble_sequences(streams, t_max=3)
-        assert len(seqs) == 7
+        store = d.assemble_sequences(streams, t_max=3)
+        assert len(store) == len(store.views()) == 7
 
     def test_padding_is_contiguous_prefix_and_last_is_real(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "abcabc")}, t_max=4)
+        seqs = d.assemble_sequences({"u": self._stream(schema, "abcabc")}, t_max=4).views()
         for s in seqs:
             s.validate()
             assert s.q[-1] == 1
 
     def test_truncates_oldest_history(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "abcab")}, t_max=3)
+        seqs = d.assemble_sequences({"u": self._stream(schema, "abcab")}, t_max=3).views()
         last = seqs[-1]
         # events 5's history window is events 3 and 4, not 1 or 2
         assert last.events[0] == d.encode_event({"color": "c"}, schema)
@@ -148,11 +149,11 @@ class TestSplit:
         return d.fit_schema([rec(color="a")], {"color": d.CATEGORICAL})
 
     def test_ten_sequences_split_8_1_1(self, schema):
-        train, valid, test = d.split(_toy_sequences(schema, 10), schema=schema)
+        train, valid, test = d.split(d.Dataset(schema, _toy_sequences(schema, 10)))
         assert (len(train.sequences), len(valid.sequences), len(test.sequences)) == (8, 1, 1)
 
     def test_small_user_goes_to_train(self, schema):
-        train, valid, test = d.split(_toy_sequences(schema, 1), schema=schema)
+        train, valid, test = d.split(d.Dataset(schema, _toy_sequences(schema, 1)))
         assert (len(train.sequences), len(valid.sequences), len(test.sequences)) == (1, 0, 0)
 
     def test_chronological_order_kept(self, schema):
@@ -160,25 +161,25 @@ class TestSplit:
         for i in range(10):
             ev = d.encode_event({"color": "a"}, schema)
             seqs.append(d.EventSequence([ev], [1], i % 2, "u"))
-        train, valid, test = d.split(seqs, schema=schema)
+        train, valid, test = d.split(d.Dataset(schema, seqs))
         assert train.sequences == seqs[:8]
         assert valid.sequences == seqs[8:9]
         assert test.sequences == seqs[9:]
 
     def test_deterministic(self, schema):
         seqs = _toy_sequences(schema, 10) + _toy_sequences(schema, 4, user="v")
-        a = d.split(seqs, schema=schema)
-        b = d.split(seqs, schema=schema)
+        a = d.split(d.Dataset(schema, seqs))
+        b = d.split(d.Dataset(schema, seqs))
         for da, db in zip(a, b):
             assert da.sequences == db.sequences
 
     def test_bad_ratios_rejected(self, schema):
         with pytest.raises(DataError, match="sum to 1"):
-            d.split(_toy_sequences(schema, 5), ratios=(0.5, 0.2, 0.2), schema=schema)
+            d.split(d.Dataset(schema, _toy_sequences(schema, 5)), ratios=(0.5, 0.2, 0.2))
 
     def test_empty_rejected(self, schema):
         with pytest.raises(DataError, match="empty"):
-            d.split([], schema=schema)
+            d.split(d.Dataset(schema, []))
 
 
 class TestSchemaSerialization:
@@ -312,12 +313,6 @@ class TestDatasetIO:
         dio.save_schema(dataset.schema, path)
         assert dio.load_schema(path).hash() == dataset.schema.hash()
 
-    def test_varint_round_trip(self):
-        for value in (0, 1, 127, 128, 300, 2**20, 2**40):
-            buf = bytearray()
-            dio.write_varint(buf, value)
-            assert dio.ByteReader(bytes(buf)).varint("x") == value
-
     @pytest.fixture
     def one_window(self, dataset):
         """A one-window dataset over the synthetic schema, to corrupt."""
@@ -355,8 +350,30 @@ class TestDatasetIO:
 
     def test_file_bytes_are_pinned(self, dataset):
         blob = dio.serialize_dataset(dataset)
+        assert blob.startswith(b"NHFMDS2\0")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "eea5b36c4e69bc17364a76d743dcc68fad4d88d4a86de8a187fb503521c2e6c2")
+
+    def test_nhfmds1_files_are_refused(self, dataset):
+        # the same dataset in the earlier varint format, as its pinned bytes
+        blob = (Path(__file__).parent / "data" / "synth20_seed11.nhfmds1").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
             "7639de2807373f77cb8d898fa1430de8cce599f03369731760926dbcba1428ce")
+        with pytest.raises(FormatError, match="NHFMDS1.*re-run `nhfm preprocess`"):
+            dio.deserialize_dataset(blob, dataset.schema)
+
+    def test_each_distinct_event_of_a_user_is_one_row(self, dataset):
+        store = dio.deserialize_dataset(dio.serialize_dataset(dataset), dataset.schema).store
+        rows_of: dict[tuple, set[int]] = {}
+        for refs, user in zip(store.rows.tolist(), store.user.tolist()):
+            for r in refs:
+                if r:
+                    c = store.count[r]
+                    key = (user, tuple(store.idx[r, :c]), tuple(store.val[r, :c]))
+                    rows_of.setdefault(key, set()).add(r)
+        assert all(len(rows) == 1 for rows in rows_of.values())
+        # windows overlap, so rows are referenced again and again
+        assert len(store.count) - 1 == len(rows_of) < np.count_nonzero(store.rows)
 
     def test_equal_events_of_one_user_decode_to_one_object(self, dataset):
         back = dio.deserialize_dataset(dio.serialize_dataset(dataset), dataset.schema)
@@ -398,24 +415,73 @@ WIDE_SCHEMA = d.FeatureSchema([
 ])
 _index = st.one_of(st.integers(0, 127), st.integers(128, 16_383),
                    st.integers(16_384, WIDE_SCHEMA.n - 1))
-_event = st.lists(st.tuples(_index, st.floats(allow_nan=False, allow_infinity=False)),
+_value = st.one_of(st.just(1.0), st.floats(allow_nan=False, allow_infinity=False))
+_event = st.lists(st.tuples(_index, _value),
                   max_size=4, unique_by=lambda e: e[0]).map(lambda es: d.Event(tuple(sorted(es))))
 
 
 @st.composite
-def _datasets(draw):
-    """Windows over a small event pool, so events repeat within and across
-    users; sometimes shuffled, so a user's windows are not contiguous."""
+def _streams(draw, max_events=6):
+    """Event streams over a small event pool, so events repeat within and
+    across users. Any index may carry 1.0, which the file does not store,
+    or another value."""
     pool = draw(st.lists(_event, min_size=1, max_size=6))
     users = draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=4),
                           min_size=1, max_size=4, unique=True))
-    streams = {user: [(draw(st.sampled_from(pool)), draw(st.integers(0, 1)))
-                      for _ in range(draw(st.integers(1, 6)))]
-               for user in users}
-    sequences = d.assemble_sequences(streams, draw(st.integers(1, 4)))
+    return {user: [(draw(st.sampled_from(pool)), draw(st.integers(0, 1)))
+                   for _ in range(draw(st.integers(1, max_events)))]
+            for user in users}
+
+
+@st.composite
+def _datasets(draw):
+    """Windows of drawn streams, sometimes shuffled, so a user's windows
+    are not contiguous."""
+    sequences = d.assemble_sequences(draw(_streams()), draw(st.integers(1, 4))).views()
     if draw(st.booleans()):
         sequences = draw(st.permutations(sequences))
     return d.Dataset(WIDE_SCHEMA, sequences, draw(st.sampled_from(["train", "t\u00e9st"])))
+
+
+def _loop_windows(streams, t_max):
+    """The list-based window assembly that the store replaced, kept as the
+    reference."""
+    out = []
+    for user, stream in streams.items():
+        for j, (event, label) in enumerate(stream):
+            history = [ev for ev, _ in stream[max(0, j - (t_max - 1)):j]]
+            pad = t_max - 1 - len(history)
+            out.append(d.EventSequence([d.PADDING_EVENT] * pad + history + [event],
+                                       [0] * pad + [1] * (len(history) + 1),
+                                       int(label), str(user)))
+    return out
+
+
+def _loop_split(sequences, ratios):
+    """The list-based per-user split that the store replaced, kept as the
+    reference."""
+    by_user = {}
+    for s in sequences:
+        by_user.setdefault(s.user, []).append(s)
+    parts = ([], [], [])
+    for seqs in by_user.values():
+        n_train, n_valid, _ = d.split_counts(len(seqs), ratios)
+        parts[0].extend(seqs[:n_train])
+        parts[1].extend(seqs[n_train:n_train + n_valid])
+        parts[2].extend(seqs[n_train + n_valid:])
+    return parts
+
+
+@given(_streams(max_events=12), st.integers(1, 4), st.data(),
+       st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.6, 0.0, 0.4)]))
+@settings(max_examples=60, deadline=None)
+def test_assembly_and_split_match_the_list_based_loops(streams, t_max, data, ratios):
+    windows = d.assemble_sequences(streams, t_max).views()
+    assert windows == _loop_windows(streams, t_max)
+    shuffled = data.draw(st.permutations(windows))
+    parts = d.split(d.Dataset(WIDE_SCHEMA, shuffled), ratios)
+    assert [p.sequences for p in parts] == list(_loop_split(shuffled, ratios))
+    assert [p.split for p in parts] == ["train", "valid", "test"]
 
 
 @given(_datasets())
@@ -434,24 +500,32 @@ def test_dataset_round_trip_property(dataset):
 
 
 _SMALL = syn.synth_generate(syn.SynthSpec(n_users=8), seed=11)
-_SMALL_BLOB = dio.serialize_dataset(_SMALL)
+# one categorical and one numerical entry per event, half of them not 1.0
+_VALUED = d.Dataset(WIDE_SCHEMA, d.assemble_sequences(
+    {f"u{u}": [(d.Event(((3 * u + j, 1.0), (WIDE_SCHEMA.n - 1, (u + j) / 8))), j % 2)
+               for j in range(5)] for u in range(3)}, 3).views(), "valid")
+_BLOBS = [(dio.serialize_dataset(ds), ds.schema) for ds in (_SMALL, _VALUED)]
 
 
-def _flip(spot):
-    pos, bit = spot
-    blob = bytearray(_SMALL_BLOB)
-    blob[pos] ^= 1 << bit
-    return bytes(blob)
+@st.composite
+def _corrupt(draw):
+    blob, schema = draw(st.sampled_from(_BLOBS))
+    if draw(st.booleans()):
+        return blob[:draw(st.integers(0, len(blob) - 1))], schema
+    flipped = bytearray(blob)
+    flipped[draw(st.integers(0, len(blob) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(flipped), schema
 
 
-@given(st.one_of(
-    st.integers(0, len(_SMALL_BLOB) - 1).map(lambda n: _SMALL_BLOB[:n]),
-    st.tuples(st.integers(0, len(_SMALL_BLOB) - 1), st.integers(0, 7)).map(_flip)))
-@settings(max_examples=200, deadline=None)
-def test_corrupt_dataset_raises_format_error_or_reads_finite(blob):
+@given(_corrupt())
+@settings(max_examples=300, deadline=None)
+def test_corrupt_dataset_raises_format_error_or_reads_finite(case):
+    blob, schema = case
     try:
-        back = dio.deserialize_dataset(blob, _SMALL.schema)
+        back = dio.deserialize_dataset(blob, schema)
     except FormatError:
         return
     assert all(math.isfinite(v) for seq in back.sequences for ev in seq.events
                for _, v in ev.entries)
+    assert all(0 <= i < schema.n for seq in back.sequences for ev in seq.events
+               for i in ev.indices())

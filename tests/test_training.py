@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import tape_oracle as to
+from nhfm import cli
 from nhfm import data as d
+from nhfm import dataset_io as dio
 from nhfm import model as m
 from nhfm import synthetic as syn
 from nhfm import training as tr
@@ -135,11 +137,32 @@ def _tiny_run(seed=1, max_epochs=3, users=25, **kw):
     spec = syn.SynthSpec(n_users=users, n_fields=2, vocab_size=4,
                          len_min=3, len_max=6, t_max=4)
     ds = syn.synth_generate(spec, seed=17)
-    train_ds, valid_ds, test_ds = d.split(ds.sequences, schema=ds.schema)
+    train_ds, valid_ds, test_ds = d.split(ds)
     config = m.ModelConfig(variant="full", k=3, h=3, mlp_widths=(4, 1), t_max=4)
     tcfg = tr.TrainConfig(seed=seed, max_epochs=max_epochs, batch_size=8, **kw)
     result = tr.train(train_ds, valid_ds, config, tcfg)
     return result, test_ds, config
+
+
+def test_hot_paths_build_no_window_objects(monkeypatch, tmp_path):
+    spec = syn.SynthSpec(n_users=25, n_fields=2, vocab_size=4, len_min=3, len_max=6, t_max=4)
+    ds = syn.synth_generate(spec, seed=17)
+    parts = []
+    for part in d.split(ds):
+        dio.write_dataset(part, tmp_path / part.split)
+        parts.append(dio.read_dataset(tmp_path / part.split, ds.schema))
+
+    def refuse(store):
+        raise AssertionError("a hot path decoded EventSequence objects")
+    monkeypatch.setattr(d.EventStore, "views", refuse)
+    train_ds, valid_ds, test_ds = parts
+    config = m.ModelConfig(variant="full", k=3, h=3, mlp_widths=(4, 1), t_max=4)
+    tr.require_both_classes(valid_ds)
+    result = tr.train(train_ds, valid_ds, config, tr.TrainConfig(max_epochs=1, batch_size=8))
+    assert np.all(np.isfinite(tr.predict_scores(test_ds, result.params, config)))
+    assert "#events=" in cli.table_stats(parts)
+    with pytest.raises(AssertionError, match="decoded"):
+        test_ds.sequences
 
 
 class TestTrainLoop:
