@@ -1,83 +1,68 @@
-"""Checkpoint files: model config, schema hash, parameters, optimizer
-state, and training metadata.
+"""Checkpoint files (``NHFMCK2``, little-endian): a header, one JSON
+block, then the float64 vectors the program keeps.
 
-Layout (little-endian, integers LEB128 varints):
+    header   magic "NHFMCK2\\0" | schema hash (32 bytes) | uint32 JSON bytes
+    JSON     UTF-8, sorted keys: model config, feature count n, optimizer
+             kind (null, "sgd" or "adam"), step and metadata, padded with
+             spaces so the vectors start 8-byte aligned
+    vectors  ``Parameters.flat``, then for Adam ``m.flat`` and ``v.flat``
 
-    magic "NHFMCK1" | version u16 | model-config JSON block
-    | schema hash (32 bytes) | parameter blobs | optimizer-state block
-    | metadata JSON block
-
-A blob is name (len + utf8), rank, dims, then raw f64 data; JSON blocks
-are length-prefixed utf8. Loading restores parameters bit-identically;
-any version or framing problem is an explicit error, never a silent
-migration.
+Names and shapes come from ``parameter_shapes(config, n)``, in vector
+order. Loading restores the vectors bit-identically and checks the JSON,
+the exact file size and that every value is finite; any problem is a
+``CheckpointError``. ``NHFMCK1`` files, the earlier varint format, are
+not read: train again to write them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureSchema
-from .dataset_io import decode_utf8
-from .errors import CheckpointError, FormatError
+from .errors import CheckpointError
 from .model import ModelConfig, Parameters, parameter_shapes
 from .training import OptimizerState
 
-CHECKPOINT_MAGIC = b"NHFMCK1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_MAGIC = b"NHFMCK2\0"
+_OLD_MAGIC = b"NHFMCK1"
+_HEADER = struct.Struct("<8s32sI")
+_KINDS = (None, "sgd", "adam")
+_PREFIXES = ("", "m:", "v:")  # params, then Adam's moments
 
 
-def write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"varints are unsigned, got {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+def _layout(config: ModelConfig, n: int, table: Parameters | None = None,
+            prefix: str = "") -> dict[str, tuple[int, ...]]:
+    """``parameter_shapes(config, n)`` of a valid ``config``. Raise unless
+    ``table``, when given, holds the same names, in order, and shapes."""
+    try:
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint has an invalid model config: {exc}") from None
+    want = parameter_shapes(config, n)
+    have = want if table is None else {name: arr.shape for name, arr in table.items()}
+    if list(have) != list(want):
+        raise CheckpointError(
+            f"checkpoint {prefix}parameters do not match its model config: "
+            f"missing {sorted(want.keys() - have.keys())}, "
+            f"unexpected {sorted(have.keys() - want.keys())}"
+            + ("" if have.keys() != want.keys() else ", or out of order"))
+    for name, shape in want.items():
+        if have[name] != shape:
+            raise CheckpointError(f"parameter {prefix}{name} has shape {have[name]}, "
+                                  f"expected {shape}")
+    return want
 
 
-class ByteReader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"truncated file: expected {n} bytes for {what}, "
-                              f"got {len(self.blob) - self.pos}")
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def varint(self, what: str) -> int:
-        shift, value = 0, 0
-        while True:
-            byte = self.take(1, what)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise FormatError(f"varint for {what} exceeds 64 bits")
-
-    def string(self, what: str) -> str:
-        length = self.varint(f"{what} length")
-        return decode_utf8(self.take(length, what), what)
-
-
-def write_string(out: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    write_varint(out, len(raw))
-    out.extend(raw)
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"{what} must be an integer >= 0, got {value!r}")
+    return value
 
 
 @dataclass
@@ -90,134 +75,84 @@ class Checkpoint:
 
     def require_schema(self, schema: FeatureSchema) -> None:
         """Check that this checkpoint can score data encoded with
-        ``schema``: the schema hash, the model config, and every
-        parameter's name and shape."""
+        ``schema``: the schema hash, the model config and the layout."""
         if schema.hash() != self.schema_hash:
             raise CheckpointError(
                 "checkpoint was trained against a different schema "
                 f"(hash {self.schema_hash.hex()[:12]}... vs "
                 f"{schema.hash().hex()[:12]}...)")
-        try:
-            self.model_config.validate()
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint has an invalid model config: {exc}") from None
-        want = parameter_shapes(self.model_config, schema.n)
-        have = {name: arr.shape for name, arr in self.params.items()}
-        if have.keys() != want.keys():
-            raise CheckpointError(
-                "checkpoint parameters do not match its model config: "
-                f"missing {sorted(want.keys() - have.keys())}, "
-                f"unexpected {sorted(have.keys() - want.keys())}")
-        for name, shape in want.items():
-            if have[name] != shape:
-                raise CheckpointError(f"parameter {name} has shape {have[name]}, "
-                                      f"expected {shape}")
-
-
-def _write_json_block(out: bytearray, payload) -> None:
-    raw = json.dumps(payload, sort_keys=True).encode("utf-8")
-    write_varint(out, len(raw))
-    out.extend(raw)
-
-
-def _write_blob(out: bytearray, name: str, arr: np.ndarray) -> None:
-    write_string(out, name)
-    write_varint(out, arr.ndim)
-    for dim in arr.shape:
-        write_varint(out, dim)
-    out.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_json_block(r: ByteReader, what: str):
-    length = r.varint(f"{what} length")
-    return json.loads(r.take(length, what).decode("utf-8"))
-
-
-def _read_blob(r: ByteReader) -> tuple[str, np.ndarray]:
-    name = r.string("parameter name")
-    ndim = r.varint("rank")
-    shape = tuple(r.varint("dim") for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = r.take(8 * count, f"data for {name}")
-    # a read-only view of the file; Parameters copies it into its vector
-    return name, np.frombuffer(raw, dtype="<f8").reshape(shape)
+        _layout(self.model_config, schema.n, self.params)
 
 
 def serialize_checkpoint(ck: Checkpoint) -> bytes:
-    out = bytearray(CHECKPOINT_MAGIC)
-    out.extend(struct.pack("<H", CHECKPOINT_VERSION))
-    cfg = ck.model_config
-    _write_json_block(out, {
-        "variant": cfg.variant, "k": cfg.k, "h": cfg.h,
-        "mlp_widths": list(cfg.mlp_widths), "t_max": cfg.t_max,
-    })
     if len(ck.schema_hash) != 32:
         raise CheckpointError(f"schema hash must be 32 bytes, got {len(ck.schema_hash)}")
-    out.extend(ck.schema_hash)
-
-    write_varint(out, len(ck.params.names()))
-    for name, arr in ck.params.items():
-        _write_blob(out, name, arr)
-
+    n = np.size(ck.params.get("wide.w", ()))  # the wide term has one weight per feature
     state = ck.opt_state
-    if state is None:
-        write_string(out, "none")
-        write_varint(out, 0)
-        write_varint(out, 0)
-    else:
-        write_string(out, state.kind)
-        write_varint(out, state.step)
-        write_varint(out, len(state.m) + len(state.v))
-        for prefix, table in (("m", state.m), ("v", state.v)):
-            for name, arr in table.items():
-                _write_blob(out, f"{prefix}:{name}", arr)
-
-    _write_json_block(out, ck.metadata)
-    return bytes(out)
+    kind = None if state is None else state.kind
+    if kind not in _KINDS:
+        raise CheckpointError(f"unknown optimizer kind {kind!r}")
+    tables = [ck.params]
+    if kind == "adam":
+        tables += [state.m, state.v]
+    for prefix, table in zip(_PREFIXES, tables):
+        _layout(ck.model_config, n, table, prefix)
+    head = json.dumps({"model": asdict(ck.model_config), "n": n, "optimizer": kind,
+                       "step": 0 if state is None else _count(state.step, "the optimizer step"),
+                       "metadata": ck.metadata}, sort_keys=True).encode("utf-8")
+    head += b" " * (-(_HEADER.size + len(head)) % 8)
+    return b"".join([_HEADER.pack(CHECKPOINT_MAGIC, ck.schema_hash, len(head)), head,
+                     *(table.flat.astype("<f8").tobytes() for table in tables)])
 
 
 def deserialize_checkpoint(blob: bytes) -> Checkpoint:
-    r = ByteReader(blob)
-    magic = r.take(len(CHECKPOINT_MAGIC), "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = struct.unpack("<H", r.take(2, "version"))[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version}, "
-            f"this build reads version {CHECKPOINT_VERSION}")
-    cfg = _read_json_block(r, "model config")
-    model_config = ModelConfig(variant=cfg["variant"], k=cfg["k"], h=cfg["h"],
-                               mlp_widths=tuple(cfg["mlp_widths"]),
-                               t_max=cfg["t_max"])
-    schema_hash = r.take(32, "schema hash")
+    size = len(blob)
+    if blob[:len(_OLD_MAGIC)] == _OLD_MAGIC:
+        raise CheckpointError("this is an NHFMCK1 checkpoint, an older format that is no "
+                              "longer read; run `nhfm train` again to write it")
+    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC[:min(size, len(CHECKPOINT_MAGIC))]:
+        raise CheckpointError(f"bad magic {bytes(blob[:8])!r}, expected {CHECKPOINT_MAGIC!r}")
+    if size < _HEADER.size:
+        raise CheckpointError(f"truncated file: expected {_HEADER.size} bytes for the "
+                              f"header, got {size}")
+    _, schema_hash, head_size = _HEADER.unpack_from(blob)
+    start = _HEADER.size + head_size
+    if size < start:
+        raise CheckpointError(f"truncated file: expected {start} bytes for the header "
+                              f"and its JSON block, got {size}")
+    try:
+        head = json.loads(blob[_HEADER.size:start].decode("utf-8"))
+        cfg = head["model"]
+        config = ModelConfig(
+            variant=cfg["variant"], k=_count(cfg["k"], "k"), h=_count(cfg["h"], "h"),
+            mlp_widths=tuple(_count(w, "an MLP width") for w in cfg["mlp_widths"]),
+            t_max=_count(cfg["t_max"], "t_max"))
+        n, kind = _count(head["n"], "the feature count"), head["optimizer"]
+        step, metadata = _count(head["step"], "the optimizer step"), head["metadata"]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON too
+        raise CheckpointError(f"checkpoint JSON block is not valid: {exc!r}") from None
+    if kind not in _KINDS:
+        raise CheckpointError(f"unknown optimizer kind {kind!r}")
 
-    n_params = r.varint("parameter count")
-    params = Parameters(dict(_read_blob(r) for _ in range(n_params)))
-
-    kind = r.string("optimizer kind")
-    step = r.varint("optimizer step")
-    n_state = r.varint("optimizer blob count")
-    opt_state: OptimizerState | None = None
-    tables = {"": params}
-    if kind != "none":
-        m: dict[str, np.ndarray] = {}
-        v: dict[str, np.ndarray] = {}
-        for _ in range(n_state):
-            name, arr = _read_blob(r)
-            prefix, _, pname = name.partition(":")
-            (m if prefix == "m" else v)[pname] = arr
-        opt_state = OptimizerState(kind, step, Parameters(m), Parameters(v))
-        tables.update({"m:": opt_state.m, "v:": opt_state.v})
-
-    metadata = _read_json_block(r, "metadata")
-    if r.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after metadata")
-    for prefix, table in tables.items():
-        if not np.isfinite(table.flat).all():
-            name = next(n for n, arr in table.items() if not np.isfinite(arr).all())
-            raise CheckpointError(f"blob {prefix}{name} holds a non-finite value")
-    return Checkpoint(model_config, schema_hash, params, opt_state, metadata)
+    shapes = _layout(config, n)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    expected = start + 8 * sum(sizes) * (3 if kind == "adam" else 1)
+    if size < expected:
+        raise CheckpointError(f"truncated file: expected {expected} bytes, got {size}")
+    if size > expected:
+        raise CheckpointError(f"{size - expected} trailing bytes after the last vector")
+    # read-only views of the file; Parameters copies each into its own vector
+    vectors = np.frombuffer(blob, dtype="<f8", offset=start).reshape(-1, sum(sizes))
+    tables = []
+    for prefix, flat in zip(_PREFIXES, vectors):
+        views = {name: part.reshape(shape) for (name, shape), part
+                 in zip(shapes.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
+        if not np.isfinite(flat).all():
+            bad = next(name for name, arr in views.items() if not np.isfinite(arr).all())
+            raise CheckpointError(f"blob {prefix}{bad} holds a non-finite value")
+        tables.append(Parameters(views))
+    opt_state = None if kind is None else OptimizerState(kind, step, *tables[1:])
+    return Checkpoint(config, schema_hash, tables[0], opt_state, metadata)
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
@@ -231,7 +166,5 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     try:
         return deserialize_checkpoint(blob)
-    except CheckpointError:
-        raise
-    except Exception as exc:  # framing errors from ByteReader
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None

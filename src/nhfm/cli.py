@@ -298,6 +298,9 @@ def prepare_datasets(cfg: RunConfig):
         fields = ds_cfg.get("fields")
         if not path or not fields:
             raise DataError("dataset.path and dataset.fields are required for kind=generic")
+        if not isinstance(fields, dict):
+            raise DataError("dataset.fields must be a JSON object of field name -> kind, "
+                            f"got {fields!r}")
         records = ingest_generic(path)
     else:
         raise DataError(f"unknown dataset kind {kind!r}")
@@ -638,6 +641,10 @@ def main(argv=None) -> int:
         return 1
     except (DataError, CheckpointError) as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except OSError as exc:  # an input file that is missing or unreadable
+        click.echo(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+                   else f"error: {exc}", err=True)
         return 2
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -326,6 +327,17 @@ class Dataset:
 # schema fitting and encoding
 
 
+def _number(name: str, value) -> float:
+    """A numerical field's value as a finite float, else ``DataError``."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise DataError(f"field {name!r}: numerical value {value!r} is not a finite number")
+    return v
+
+
 def fit_schema(records: Iterable[Mapping], field_config: Mapping[str, str]) -> FeatureSchema:
     """Build vocabularies and numerical stats from training records.
 
@@ -359,7 +371,7 @@ def fit_schema(records: Iterable[Mapping], field_config: Mapping[str, str]) -> F
                 if token not in spec.vocab:
                     spec.vocab[token] = len(spec.vocab)
             else:
-                v = float(value)
+                v = _number(key, value)
                 mins[key] = v if key not in mins else min(mins[key], v)
                 maxs[key] = v if key not in maxs else max(maxs[key], v)
     if count == 0:
@@ -392,7 +404,8 @@ def encode_event(record: Mapping, schema: FeatureSchema) -> Event:
             entries.append((base + offset, 1.0))
         else:
             lo, hi = f.stats
-            x = 0.0 if hi <= lo else (float(value) - lo) / (hi - lo)
+            v = _number(f.name, value)
+            x = 0.0 if hi <= lo else (v - lo) / (hi - lo)
             entries.append((base, min(1.0, max(0.0, x))))
     entries.sort(key=lambda e: e[0])
     return Event(tuple(entries))

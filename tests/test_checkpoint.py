@@ -1,7 +1,10 @@
 """Checkpoint round-trips, framing errors and corrupt files."""
 
 import dataclasses
+import json
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,14 +71,44 @@ class TestRoundTrip:
         cp.save_checkpoint(ck, path)
         assert cp.load_checkpoint(path).opt_state is None
 
+    def test_sgd_state_keeps_kind_and_step_without_moments(self, tmp_path, checkpoint):
+        ck, _ = checkpoint
+        ck.opt_state = tr.OptimizerState.fresh("sgd", ck.params)
+        ck.opt_state.step = 12
+        path = tmp_path / "model.nhfmck"
+        cp.save_checkpoint(ck, path)
+        loaded = cp.load_checkpoint(path)
+        assert (loaded.opt_state.kind, loaded.opt_state.step) == ("sgd", 12)
+        assert len(loaded.opt_state.m) == len(loaded.opt_state.v) == 0
+        np.testing.assert_array_equal(loaded.params.flat, ck.params.flat)
+        assert path.stat().st_size == _head_end(path.read_bytes()) + 8 * ck.params.count()
+
+    def test_vectors_are_the_flat_arrays_aligned_after_the_json(self, checkpoint):
+        ck, _ = checkpoint
+        blob = cp.serialize_checkpoint(ck)
+        start = _head_end(blob)
+        assert start % 8 == 0
+        count = ck.params.count()
+        vectors = np.frombuffer(blob, dtype="<f8", offset=start).reshape(3, count)
+        for vector, table in zip(vectors, (ck.params, ck.opt_state.m, ck.opt_state.v)):
+            assert vector.tobytes() == table.flat.tobytes()
+
+
+def _head_end(blob: bytes) -> int:
+    """Where the JSON block ends and the vectors start."""
+    return 44 + struct.unpack_from("<I", blob, 40)[0]
+
+
+def _with_head(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON block passed through ``edit`` and re-padded."""
+    end = _head_end(blob)
+    raw = edit(json.loads(blob[44:end]))
+    raw = raw if isinstance(raw, bytes) else json.dumps(raw, sort_keys=True).encode("utf-8")
+    raw += b" " * (-(44 + len(raw)) % 8)
+    return blob[:40] + struct.pack("<I", len(raw)) + raw + blob[end:]
+
 
 class TestFraming:
-    def test_varint_round_trip(self):
-        for value in (0, 1, 127, 128, 300, 2**20, 2**40):
-            buf = bytearray()
-            cp.write_varint(buf, value)
-            assert cp.ByteReader(bytes(buf)).varint("x") == value
-
     def test_missing_file_names_the_path(self, tmp_path):
         path = tmp_path / "seed-1" / "checkpoint.nhfmck"
         with pytest.raises(CheckpointError, match=re.escape(f"cannot read checkpoint {path}")):
@@ -89,13 +122,41 @@ class TestFraming:
         with pytest.raises(CheckpointError, match="expected .* bytes"):
             cp.load_checkpoint(path)
 
-    def test_version_bump_rejected(self, tmp_path, checkpoint):
-        ck, _ = checkpoint
-        blob = bytearray(cp.serialize_checkpoint(ck))
-        blob[7] = 99  # version u16 lives right after the 7-byte magic
+    def test_nhfmck1_files_are_refused(self, tmp_path):
+        # an alpha checkpoint with an sgd state in the earlier varint format
+        blob = (Path(__file__).parent / "data" / "alpha_seed11.nhfmck1").read_bytes()
+        assert blob.startswith(b"NHFMCK1\x01\x00")
         path = tmp_path / "model.nhfmck"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="NHFMCK1 checkpoint.*train` again"):
+            cp.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda head: b"\xff{}", "JSON block is not valid"),
+        (lambda head: b"{", "JSON block is not valid"),
+        (lambda head: [head], "JSON block is not valid"),
+        (lambda head: {k: v for k, v in head.items() if k != "metadata"},
+         "JSON block is not valid: KeyError('metadata')"),
+        (lambda head: {**head, "model": {**head["model"], "mlp_widths": [4, 2]}},
+         "invalid model config: final MLP width"),
+        (lambda head: {**head, "model": {**head["model"], "variant": "gamma"}},
+         "invalid model config: variant must be"),
+        (lambda head: {**head, "model": {**head["model"], "k": 3.0}},
+         "k must be an integer >= 0, got 3.0"),
+        (lambda head: {**head, "model": {**head["model"], "h": True}},
+         "h must be an integer >= 0, got True"),
+        (lambda head: {**head, "optimizer": "rmsprop"}, "unknown optimizer kind 'rmsprop'"),
+        (lambda head: {**head, "step": -1}, "the optimizer step must be an integer >= 0"),
+        (lambda head: {**head, "n": -1}, "the feature count must be an integer >= 0, got -1"),
+        (lambda head: {**head, "n": head["n"] + 1}, "truncated file: expected"),
+        (lambda head: {**head, "n": head["n"] - 1}, "trailing bytes"),
+        (lambda head: {**head, "optimizer": None}, "trailing bytes"),
+    ])
+    def test_bad_json_block_rejected(self, tmp_path, checkpoint, edit, message):
+        ck, _ = checkpoint
+        path = tmp_path / "model.nhfmck"
+        path.write_bytes(_with_head(cp.serialize_checkpoint(ck), edit))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             cp.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path, checkpoint):
@@ -138,6 +199,22 @@ class TestSchemaGuard:
                                   if name != "mlp.0.b"})
         with pytest.raises(CheckpointError, match=re.escape("missing ['mlp.0.b']")):
             ck.require_schema(schema)
+
+    def test_parameters_out_of_order_refused_on_save(self, checkpoint):
+        ck, _ = checkpoint
+        ck.params = m.Parameters(dict(reversed(list(ck.params.items()))))
+        with pytest.raises(CheckpointError,
+                           match=re.escape("missing [], unexpected [], or out of order")):
+            cp.serialize_checkpoint(ck)
+
+    def test_moments_of_another_layout_refused_on_save(self, checkpoint):
+        ck, _ = checkpoint
+        ck.opt_state.v = m.Parameters({name: arr for name, arr in ck.opt_state.v.items()
+                                       if name != "wide.b"})
+        with pytest.raises(CheckpointError,
+                           match=re.escape("checkpoint v:parameters do not match its model "
+                                           "config: missing ['wide.b']")):
+            cp.serialize_checkpoint(ck)
 
     def test_invalid_model_config_rejected(self, checkpoint):
         ck, schema = checkpoint

@@ -1,5 +1,6 @@
 """End-to-end command tests over a small synthetic configuration."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 import nhfm
 from nhfm import checkpoint as cp
+from nhfm import data as d
 from nhfm import dataset_io as dio
 from nhfm import model as m
 from nhfm import training as tr
 from nhfm.cli import DEFAULT_CONFIG, RunConfig, ingest_generic, main
-from nhfm.errors import DataError, NumericalError
+from nhfm.errors import CheckpointError, DataError, NumericalError
 
 
 @pytest.fixture
@@ -161,10 +163,20 @@ class TestEvalExplain:
         config, out = trained
         path = out / "seed-1" / "checkpoint.nhfmck"
         ck = cp.load_checkpoint(path)
-        ck.params = m.Parameters({**dict(ck.params.items()), "embed.V": ck.params["embed.V"][:5]})
+        n = len(ck.params["embed.V"])
+        # a file holds the layout of its own config and feature count, so
+        # save refuses an embedding table that alone has another shape
+        short = m.Parameters({**dict(ck.params.items()), "embed.V": ck.params["embed.V"][:5]})
+        with pytest.raises(CheckpointError, match=re.escape("embed.V has shape (5, 3)")):
+            cp.save_checkpoint(dataclasses.replace(ck, params=short), path)
+        # a consistent checkpoint for n - 1 features loads, and eval refuses it
+        shapes = m.parameter_shapes(ck.model_config, n - 1)
+        ck.params = m.Parameters({name: np.resize(arr, shapes[name])
+                                  for name, arr in ck.params.items()})
+        ck.opt_state = tr.OptimizerState.fresh("adam", ck.params)
         cp.save_checkpoint(ck, path)
         assert run_cli("eval", "--config", config) == 2
-        assert "embed.V has shape (5, 3)" in capsys.readouterr().err
+        assert f"embed.V has shape ({n - 1}, 3), expected ({n}, 3)" in capsys.readouterr().err
 
     def test_eval_rejects_a_non_finite_parameter(self, trained, capsys):
         config, out = trained
@@ -231,6 +243,51 @@ class TestEvalExplain:
         assert "truncated" in capsys.readouterr().err
 
 
+def _drop_valid_file(config, out):
+    assert run_cli("preprocess", "--config", config) == 0
+    (out / "data" / "valid.nhfmds").unlink()
+    return out / "data" / "valid.nhfmds", ["eval", "--config", config]
+
+
+def _inspect_without_schema(config, out):
+    assert run_cli("preprocess", "--config", config) == 0
+    (out / "data" / "schema.json").unlink()
+    return out / "data" / "schema.json", ["inspect", out / "data" / "train.nhfmds"]
+
+
+def _generic_without_path(config, out):
+    missing = out.parent / "events.jsonl"
+    return missing, ["preprocess", "--config", config, "--set", "dataset.kind=generic",
+                     "--set", f'dataset.path="{missing}"',
+                     "--set", 'dataset.fields={"color": "categorical"}']
+
+
+def _movielens_without_users(config, out):
+    root = out.parent / "ml"
+    root.mkdir()
+    (root / "ratings.dat").write_text("1::1::5::978300760\n")
+    (root / "movies.dat").write_text("1::Toy Story (1995)::Animation\n")
+    return root / "users.dat", ["preprocess", "--config", config, "--set",
+                                "dataset.kind=movielens",
+                                "--set", f'dataset.movielens_dir="{root}"']
+
+
+def _config_that_is_a_directory(config, out):
+    return config.parent, ["train", "--config", config.parent]
+
+
+@pytest.mark.parametrize("case", [_drop_valid_file, _inspect_without_schema,
+                                  _generic_without_path, _movielens_without_users,
+                                  _config_that_is_a_directory])
+def test_unreadable_input_file_exits_2_naming_it(config_file, capsys, case):
+    missing, args = case(*config_file)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {missing}: " in err
+    assert "Traceback" not in err
+
+
 class TestGenericJsonl:
     @staticmethod
     def write(tmp_path, *lines):
@@ -270,6 +327,40 @@ class TestGenericJsonl:
         self.write(tmp_path, *lines[:-1], self.line(user="u2", ts=11, label=2))
         assert run_cli("preprocess", "--config", config, "--force") == 2
         assert ":12: __label must be 0 or 1, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ['"abc"', "[1]", "Infinity", "NaN", "{}"])
+    def test_numerical_value_that_is_not_a_finite_number_exits_2(self, tmp_path, capsys, bad):
+        lines = [self.line(user=f"u{i % 3}", ts=i, label=i % 2)[:-1] + f', "b": {i}}}'
+                 for i in range(12)]
+        lines[4] = lines[4][:lines[4].rindex(":") + 2] + bad + "}"
+        cfg = {"dataset": {"kind": "generic", "t_max": 3,
+                           "fields": {"color": "categorical", "b": "numerical"},
+                           "path": str(self.write(tmp_path, *lines))},
+               "out_dir": str(tmp_path / "run")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("preprocess", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert "field 'b': numerical value" in err and "is not a finite number" in err
+        assert not (tmp_path / "run" / "data" / "schema.json").exists()
+
+    @pytest.mark.parametrize("bad", ["abc", float("inf"), float("nan"), [1], {}])
+    def test_encoding_refuses_a_value_outside_the_fitted_schema(self, bad):
+        schema = d.fit_schema([{"b": 1.0}, {"b": 3.0}], {"b": "numerical"})
+        assert d.encode_event({"b": 2.0}, schema).entries == ((0, 0.5),)
+        with pytest.raises(DataError, match=re.escape(f"field 'b': numerical value {bad!r}")):
+            d.encode_event({"b": bad}, schema)
+
+    def test_fields_that_are_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = {"dataset": {"kind": "generic", "t_max": 3, "fields": ["color"],
+                           "path": str(self.write(tmp_path, self.line()))},
+               "out_dir": str(tmp_path / "run")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("preprocess", "--config", config) == 2
+        assert "dataset.fields must be a JSON object" in capsys.readouterr().err
+        assert run_cli("preprocess", "--config", config, "--force",
+                       "--set", 'dataset.fields=["a","b"]') == 2
 
     def ten_event_run(self, tmp_path, label):
         """Six users of ten events, labelled ``label(user, event)``; each
