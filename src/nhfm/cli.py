@@ -21,6 +21,7 @@ import copy
 import dataclasses
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 import click
@@ -219,17 +220,11 @@ def _encode_records(records: list[dict], field_config: dict, ratios, t_max: int
     """The windows of records sorted by user and time. The schema
     is fit on each user's earliest training fraction only, mirroring the
     chronological split so later tokens can fall to OOV."""
-    per_user: dict[str, list[dict]] = {}
-    for rec in records:
-        per_user.setdefault(str(rec["__user"]), []).append(rec)
-    train_records = []
-    for recs in per_user.values():
-        n_train, _, _ = d.split_counts(len(recs), ratios)
-        train_records.extend(recs[:n_train])
-    schema = d.fit_schema(train_records, field_config)
-    streams = {user: [(d.encode_event(rec, schema), int(rec["__label"])) for rec in recs]
-               for user, recs in per_user.items()}
-    return d.Dataset(schema, store=d.assemble_sequences(streams, t_max))
+    owner, _ = d.user_positions(records)
+    n_train = np.array([d.split_counts(int(m), ratios)[0] for m in np.bincount(owner)])
+    train = np.arange(len(records)) - np.searchsorted(owner, owner) < n_train[owner]
+    schema = d.fit_schema(compress(records, train), field_config)
+    return d.Dataset(schema, store=d.encode_windows(records, schema, t_max))
 
 
 def ingest_generic(path) -> list[dict]:
@@ -242,8 +237,8 @@ def ingest_generic(path) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad record: {exc}")
+            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+                raise DataError(f"{path}:{lineno}: bad record: {exc}") from None
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: a record must be a JSON object")
             for key in d.META_KEYS:

@@ -7,12 +7,16 @@ numerical field a global feature index; encoding turns records into sparse
 events; assembly windows each user's chronological events into padded,
 right-aligned windows whose last slot is the prediction event.
 
-Windows slide over a user's events, so consecutive windows repeat most of
-their events. An :class:`EventStore` therefore holds each distinct event
-of a user once, as one row of dense arrays, and each window as ``t_max``
-row references; training, scoring and the file format work on its
-arrays. ``Event`` and ``EventSequence`` objects are a decoded view of the
-store, built only when something reads ``Dataset.sequences``.
+Records are fit and encoded a column at a time: one field's values across
+all records become one array of feature indices and one of values, with
+no object per event. Windows slide over a user's events, so consecutive
+windows repeat most of their events. An :class:`EventStore` therefore
+holds each distinct event of a user once, as one row of dense arrays, and
+each window as ``t_max`` row references; training, scoring and the file
+format work on its arrays. ``Event`` and ``EventSequence`` objects are a
+decoded view of the store, built only when something reads
+``Dataset.sequences``, and the form that ``encode_event`` and
+``assemble_sequences`` take and give one at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -229,48 +233,24 @@ class EventStore:
         return self.rows.shape[1]
 
     @classmethod
-    def build(cls, events: Sequence[Event], rows, label, user,
-              users: Sequence[str], t_max: int) -> "EventStore":
-        """A store over ``events``, whose first is the padding sentinel,
-        and windows given as flat row references."""
-        entries = [ev.entries for ev in events]
-        count = np.fromiter(map(len, entries), dtype=np.int32, count=len(entries))
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(entries)),
-                            dtype=np.float64).reshape(-1, 2)
-        if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < 2**31:
-            raise DataError("a feature index is outside 0..2^31-1")
-        present = np.arange(count.max(initial=0)) < count[:, None]
-        idx = np.zeros(present.shape, dtype=np.int32)
-        val = np.zeros(present.shape)
-        idx[present] = pairs[:, 0]
-        val[present] = pairs[:, 1]
-        label = np.asarray(label, dtype=np.uint8)
-        return cls(idx, val, count,
-                   np.asarray(rows, dtype=np.int32).reshape(len(label), t_max),
-                   label, np.asarray(user, dtype=np.int32), tuple(users))
-
-    @classmethod
     def of(cls, sequences: Sequence[EventSequence]) -> "EventStore":
         """The store of ``sequences``, which share one t_max; equal events
         of one user become one row."""
         t_max = sequences[0].t_max if sequences else 0
-        events: list[Event] = [PADDING_EVENT]
         users: dict[str, int] = {}
-        memo: dict[tuple[int, Event], int] = {}
-        refs: list[int] = []
         for seq in sequences:
             if seq.t_max != t_max:
                 raise DataError(f"mixed t_max in one dataset: {seq.t_max} vs {t_max}")
-            u = users.setdefault(seq.user, len(users))
-            real = [ev for ev, qt in zip(seq.events, seq.q) if qt == 1]
-            refs += [0] * (t_max - len(real))
-            for ev in real:
-                row = memo.setdefault((u, ev), len(events))
-                if row == len(events):
-                    events.append(ev)
-                refs.append(row)
-        return cls.build(events, refs, [s.label for s in sequences],
-                         [users[s.user] for s in sequences], users, t_max)
+            users.setdefault(seq.user, len(users))
+        real = [[ev for ev, qt in zip(seq.events, seq.q) if qt == 1] for seq in sequences]
+        n_real = np.fromiter(map(len, real), dtype=np.intp, count=len(real))
+        user = np.array([users[s.user] for s in sequences], dtype=np.int32)
+        idx, val, count, number = _distinct_rows(
+            *_event_arrays(list(chain.from_iterable(real))), np.repeat(user, n_real))
+        rows = np.zeros((len(sequences), t_max), dtype=np.int32)
+        rows[np.arange(t_max) >= t_max - n_real[:, None]] = number
+        return cls(idx, val, count, rows,
+                   np.array([s.label for s in sequences], dtype=np.uint8), user, tuple(users))
 
     def take(self, windows) -> "EventStore":
         """The windows at positions ``windows``, in that order, with only
@@ -331,11 +311,19 @@ def _number(name: str, value) -> float:
     """A numerical field's value as a finite float, else ``DataError``."""
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
         raise DataError(f"field {name!r}: numerical value {value!r} is not a finite number")
     return v
+
+
+def _present(records: Sequence[Mapping], name: str) -> tuple[list[bool], list]:
+    """Which records give field ``name`` a value other than ``None``, and
+    those values in record order."""
+    column = [rec.get(name) for rec in records]
+    has = [v is not None for v in column]
+    return has, list(compress(column, has))
 
 
 def fit_schema(records: Iterable[Mapping], field_config: Mapping[str, str]) -> FeatureSchema:
@@ -345,70 +333,79 @@ def fit_schema(records: Iterable[Mapping], field_config: Mapping[str, str]) -> F
     be assigned; tokens are numbered in first-seen order. Records carrying
     a field absent from the config are rejected.
     """
-    fields = {
-        name: FieldSpec(name, kind)
-        for name, kind in field_config.items()
-    }
-    for f in fields.values():
-        if f.kind not in (CATEGORICAL, NUMERICAL):
-            raise DataError(f"field {f.name!r}: unknown kind {f.kind!r}")
-
-    mins: dict[str, float] = {}
-    maxs: dict[str, float] = {}
-    count = 0
-    for rec in records:
-        count += 1
-        for key, value in rec.items():
-            if key in META_KEYS:
-                continue
-            spec = fields.get(key)
-            if spec is None:
-                raise DataError(f"record field {key!r} is missing from the field config")
-            if value is None:
-                continue
-            if spec.kind == CATEGORICAL:
-                token = str(value)
-                if token not in spec.vocab:
-                    spec.vocab[token] = len(spec.vocab)
-            else:
-                v = _number(key, value)
-                mins[key] = v if key not in mins else min(mins[key], v)
-                maxs[key] = v if key not in maxs else max(maxs[key], v)
-    if count == 0:
+    for name, kind in field_config.items():
+        if kind not in (CATEGORICAL, NUMERICAL):
+            raise DataError(f"field {name!r}: unknown kind {kind!r}")
+    records = list(records)
+    known = set(field_config).union(META_KEYS)
+    if not known.issuperset(chain.from_iterable(records)):
+        key = next(k for rec in records for k in rec if k not in known)
+        raise DataError(f"record field {key!r} is missing from the field config")
+    if not records:
         raise DataError("cannot fit a schema on zero records")
 
-    for name, spec in fields.items():
-        if spec.kind == NUMERICAL:
-            lo = mins.get(name, 0.0)
-            hi = maxs.get(name, lo)
-            spec.stats = (lo, hi)
-    return FeatureSchema(list(fields.values()))
+    fields = []
+    for name, kind in field_config.items():
+        values = [] if name in META_KEYS else _present(records, name)[1]
+        if kind == CATEGORICAL:
+            tokens = dict.fromkeys(map(str, values))  # first-seen order
+            fields.append(FieldSpec(name, kind, {t: i for i, t in enumerate(tokens)}))
+        else:
+            numbers = [_number(name, v) for v in values]
+            lo = min(numbers, default=0.0)
+            fields.append(FieldSpec(name, kind, stats=(lo, max(numbers, default=lo))))
+    return FeatureSchema(fields)
+
+
+def _encode(records: Sequence[Mapping], schema: FeatureSchema
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every record's entries, as :func:`encode_event` gives them, in
+    ``(R, fields)`` index and value arrays and ``(R,)`` counts, encoded a
+    field's column at a time. Fields take ascending index ranges in schema
+    order, so a record's entries are ascending once they are left-aligned
+    past its missing fields; the rest of the row holds index 0 and value 0.
+    """
+    shape = (len(schema.fields), len(records))  # one row per field until the transpose
+    idx = np.zeros(shape, dtype=np.int32)
+    val = np.zeros(shape)
+    present = np.zeros(shape, dtype=bool)
+    for f, f_idx, f_val, has in zip(schema.fields, idx, val, present):
+        flags, values = _present(records, f.name)
+        has[:] = np.fromiter(flags, dtype=bool, count=len(flags))
+        base = schema.field_base(f.name)
+        if f.kind == CATEGORICAL:
+            lookup, oov = f.vocab.get, len(f.vocab)  # unseen -> OOV
+            f_idx[has] = base + np.fromiter([lookup(t, oov) for t in map(str, values)],
+                                            dtype=np.int64, count=len(values))
+            f_val[has] = 1.0
+            continue
+        lo, hi = f.stats
+        x = np.fromiter([_number(f.name, v) for v in values], dtype=np.float64,
+                        count=len(values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (x - lo) / (hi - lo) if hi > lo else np.zeros_like(x)
+        x = np.where(x > 0.0, x, 0.0)  # min(1.0, max(0.0, x)), NaN and -0.0 to 0.0
+        f_idx[has] = base
+        f_val[has] = np.where(x < 1.0, x, 1.0)
+    idx, val, present = idx.T, val.T, present.T
+    if not present.all():
+        left = np.argsort(~present, axis=1, kind="stable")
+        idx = np.take_along_axis(idx, left, axis=1)
+        val = np.take_along_axis(val, left, axis=1)
+    return idx, val, np.count_nonzero(present, axis=1).astype(np.int32)
 
 
 def encode_event(record: Mapping, schema: FeatureSchema) -> Event:
-    """Encode one raw record against a fitted schema.
+    """Encode one raw record against a fitted schema, as
+    :func:`encode_windows` encodes each of its records.
 
     Unseen categorical tokens land on the field's OOV index with value 1.0;
     numerical values are min-max normalized into [0, 1] and clamped; a
-    missing field simply contributes no entry.
+    missing or ``None`` field contributes no entry.
     """
-    entries: list[tuple[int, float]] = []
-    for f in schema.fields:
-        if f.name not in record or record[f.name] is None:
-            continue
-        value = record[f.name]
-        base = schema.field_base(f.name)
-        if f.kind == CATEGORICAL:
-            token = str(value)
-            offset = f.vocab.get(token, len(f.vocab))  # unseen -> OOV slot
-            entries.append((base + offset, 1.0))
-        else:
-            lo, hi = f.stats
-            v = _number(f.name, value)
-            x = 0.0 if hi <= lo else (v - lo) / (hi - lo)
-            entries.append((base, min(1.0, max(0.0, x))))
-    entries.sort(key=lambda e: e[0])
-    return Event(tuple(entries))
+    idx, val, count = _encode([record], schema)
+    c = int(count[0])
+    return Event(tuple(zip(idx[0, :c].tolist(), val[0, :c].tolist())))
 
 
 def decode_event(event: Event, schema: FeatureSchema) -> dict[str, str | float]:
@@ -433,32 +430,93 @@ def assemble_sequences(user_events: Mapping[str, Sequence[tuple[Event, int]]],
     with the empty sentinel row when the history is shorter. Equal events
     of one user share a row.
     """
+    streams = [(str(user), stream) for user, stream in user_events.items() if stream]
+    lengths = [len(stream) for _, stream in streams]
+    pairs = [pair for _, stream in streams for pair in stream]
+    return _windows(*_event_arrays([event for event, _ in pairs]),
+                    np.repeat(np.arange(len(streams), dtype=np.int32), lengths),
+                    [int(label) for _, label in pairs], [user for user, _ in streams], t_max)
+
+
+def user_positions(records: Sequence[Mapping]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each record's position among the users of ``records``, which are
+    the ``str`` of ``__user`` in order of first record, and those users.
+    One user's records must be contiguous."""
+    users: dict[str, int] = {}
+    owner = np.fromiter((users.setdefault(str(rec["__user"]), len(users)) for rec in records),
+                        dtype=np.int32, count=len(records))
+    back = np.flatnonzero(owner[1:] < owner[:-1])
+    if len(back):
+        user = list(users)[owner[back[0] + 1]]
+        raise DataError(f"the records of user {user!r} are not contiguous")
+    return owner, tuple(users)
+
+
+def encode_windows(records: Sequence[Mapping], schema: FeatureSchema, t_max: int) -> EventStore:
+    """Encode records, grouped by user and in time order within each user,
+    and slide a window over each user's events, as
+    :func:`assemble_sequences` does over encoded streams; ``__label`` is
+    each window's label."""
+    owner, users = user_positions(records)
+    label = np.array([int(rec["__label"]) for rec in records], dtype=np.uint8)
+    return _windows(*_encode(records, schema), owner, label, users, t_max)
+
+
+def _event_arrays(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``events`` as left-aligned index and value arrays and counts, the
+    layout :func:`_encode` gives."""
+    entries = [ev.entries for ev in events]
+    count = np.fromiter(map(len, entries), dtype=np.int32, count=len(entries))
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(entries)),
+                        dtype=np.float64).reshape(-1, 2)
+    if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < 2**31:
+        raise DataError("a feature index is outside 0..2^31-1")
+    present = np.arange(count.max(initial=0)) < count[:, None]
+    idx = np.zeros(present.shape, dtype=np.int32)
+    val = np.zeros(present.shape)
+    idx[present] = pairs[:, 0]
+    val[present] = pairs[:, 1]
+    return idx, val, count
+
+
+def _distinct_rows(idx: np.ndarray, val: np.ndarray, count: np.ndarray, owner: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The store's rows for events given as left-aligned arrays, with the
+    user position of each: equal events of one user get one row, rows are
+    numbered from 1 in order of first occurrence, and row 0 is the empty
+    sentinel. Returns the rows' ``idx``, ``val`` and ``count`` and each
+    event's row number."""
+    width = int(count.max(initial=0))
+    idx, val = idx[:, :width], val[:, :width]
+    # one fixed-size byte string per event; -0.0 + 0.0 is 0.0, which equals it
+    key = np.hstack([owner[:, None], count[:, None], idx,
+                     np.ascontiguousarray(val + 0.0).view(np.int32)])
+    key = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int32)
+    number[order] = np.arange(1, len(first) + 1, dtype=np.int32)
+    keep = first[order]
+    return (np.concatenate([np.zeros((1, width), dtype=np.int32), idx[keep]]),
+            np.concatenate([np.zeros((1, width)), val[keep]]),
+            np.concatenate([np.zeros(1, dtype=np.int32), count[keep]]),
+            number[inverse.ravel()])
+
+
+def _windows(idx: np.ndarray, val: np.ndarray, count: np.ndarray, owner: np.ndarray,
+             label, users: Sequence[str], t_max: int) -> EventStore:
+    """The store of one window per event, for events in time order within
+    each user and each user's events contiguous: the window ends at its
+    event and holds the up-to-``t_max - 1`` events of that user before
+    it, left-padded with row 0."""
     if t_max < 1:
         raise DataError(f"t_max must be >= 1, got {t_max}")
-    events: list[Event] = [PADDING_EVENT]
-    slot_rows: list[int] = []
-    labels: list[int] = []
-    users: list[str] = []
-    lengths: list[int] = []
-    for user, stream in user_events.items():
-        if not stream:
-            continue
-        memo: dict[Event, int] = {}
-        for event, label in stream:
-            row = memo.setdefault(event, len(events))
-            if row == len(events):
-                events.append(event)
-            slot_rows.append(row)
-            labels.append(int(label))
-        users.append(str(user))
-        lengths.append(len(stream))
-    per_user = np.array(lengths, dtype=np.intp)
-    owner = np.repeat(np.arange(len(users)), per_user)
-    first = np.repeat(np.cumsum(per_user) - per_user, per_user)
-    slots = np.arange(len(slot_rows))[:, None] + np.arange(1 - t_max, 1)
-    slot_rows_arr = np.array(slot_rows, dtype=np.int32)
-    rows = np.where(slots >= first[:, None], slot_rows_arr[np.maximum(slots, 0)], 0)
-    return EventStore.build(events, rows, labels, owner, users, t_max)
+    idx, val, count, number = _distinct_rows(idx, val, count, owner)
+    first = np.searchsorted(owner, owner)  # each event's user's first event
+    slots = np.arange(len(owner))[:, None] + np.arange(1 - t_max, 1)
+    rows = np.where(slots >= first[:, None], number[np.maximum(slots, 0)], 0)
+    return EventStore(idx, val, count, rows.astype(np.int32),
+                      np.asarray(label, dtype=np.uint8), owner, tuple(users))
 
 
 def split_counts(m: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:

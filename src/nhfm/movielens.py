@@ -4,13 +4,13 @@ Reads the standard "::"-delimited ratings/users/movies files and emits one
 raw record per rating with nine fields: movie id, first genre, release
 year, rating hour-of-day, rating weekday, user gender, age bucket,
 occupation, and zip 1-prefix. Timestamps are interpreted as UTC so the
-derived hour/weekday are machine-independent.
+derived hour/weekday are machine-independent; a timestamp outside the
+years 1 to 9999 makes its line malformed.
 """
 
 from __future__ import annotations
 
 import re
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .data import CATEGORICAL, NUMERICAL
@@ -31,6 +31,9 @@ MOVIELENS_FIELDS: dict[str, str] = {
 POSITIVE_RATING_THRESHOLD = 4
 
 _YEAR_RE = re.compile(r"\((\d{4})\)\s*$")
+# UTC seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59, the range
+# that ``datetime`` represents
+_TS_RANGE = (-62_135_596_800, 253_402_300_799)
 
 
 def _read_delimited(path: Path, n_fields: int, malformed: list[int]):
@@ -90,16 +93,16 @@ def ingest_movielens(ratings_path, users_path, movies_path,
         except ValueError:
             malformed[0] += 1
             continue
-        if user is None or movie is None or not 1 <= rating <= 5:
+        if (user is None or movie is None or not 1 <= rating <= 5
+                or not _TS_RANGE[0] <= ts <= _TS_RANGE[1]):
             malformed[0] += 1
             continue
-        when = datetime.fromtimestamp(ts, tz=timezone.utc)
         rec = {
             "__user": uid,
             "__ts": ts,
             "__label": 1 if rating >= POSITIVE_RATING_THRESHOLD else 0,
-            "hour": str(when.hour),
-            "weekday": str(when.weekday()),
+            "hour": str(ts // 3600 % 24),
+            "weekday": str((ts // 86400 + 3) % 7),  # 1970-01-01 was a Thursday
         }
         rec.update(movie)
         rec.update(user)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CATEGORICAL, Dataset, Event, EventSequence, FeatureSchema,
-                   FieldSpec, assemble_sequences, encode_event)
+from .data import (CATEGORICAL, Dataset, EventSequence, FeatureSchema, FieldSpec,
+                   encode_windows)
 from .errors import DataError
 
 
@@ -85,7 +85,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     schema = synth_schema(spec)
     tf = spec.trigger_field
 
-    user_events: dict[str, list[tuple[Event, int]]] = {}
+    records: list[dict] = []
     for u in range(spec.n_users):
         length = int(rng.integers(spec.len_min, spec.len_max + 1))
         tokens = rng.integers(0, spec.vocab_size, size=(length, spec.n_fields))
@@ -97,7 +97,6 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
                 h = int(rng.integers(_window_start(j, spec.t_max), j))
                 tokens[h, tf] = spec.history_token
 
-        stream: list[tuple[Event, int]] = []
         for j in range(length):
             fires = (tokens[j, tf] == spec.current_token and any(
                 tokens[i, tf] == spec.history_token
@@ -108,11 +107,10 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
                 label = int(fires)
             else:
                 label = int(rng.random() < spec.base_rate)
-            record = {f"f{k}": f"t{tokens[j, k]}" for k in range(spec.n_fields)}
-            stream.append((encode_event(record, schema), label))
-        user_events[f"u{u}"] = stream
+            records.append({"__user": f"u{u}", "__label": label,
+                            **{f"f{k}": f"t{tokens[j, k]}" for k in range(spec.n_fields)}})
 
-    return Dataset(schema, store=assemble_sequences(user_events, spec.t_max))
+    return Dataset(schema, store=encode_windows(records, schema, spec.t_max))
 
 
 def rule_fires(seq: EventSequence, schema: FeatureSchema,

@@ -316,6 +316,21 @@ class TestGenericJsonl:
                            match=re.escape(f"{path}:2: a record must be a JSON object")):
             ingest_generic(path)
 
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["integer-over-the-digit-limit", "nested-100k-deep"])
+    def test_value_the_json_parser_refuses_names_the_line(self, tmp_path, capsys, value):
+        huge = self.line(ts=1)[:-1] + ', "b": ' + value + "}"
+        path = self.write(tmp_path, self.line(), huge)
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad record: ")):
+            ingest_generic(path)
+        cfg = {"dataset": {"kind": "generic", "t_max": 3, "path": str(path),
+                           "fields": {"color": "categorical", "b": "numerical"}},
+               "out_dir": str(tmp_path / "run")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("preprocess", "--config", config) == 2
+        assert f"{path}:2: bad record: " in capsys.readouterr().err
+
     def test_preprocess_exits_2_on_a_bad_label(self, tmp_path, capsys):
         lines = [self.line(user=f"u{i % 3}", ts=i, label=i % 2) for i in range(12)]
         cfg = {"dataset": {"kind": "generic", "t_max": 3, "fields": {"color": "categorical"},
@@ -328,7 +343,8 @@ class TestGenericJsonl:
         assert run_cli("preprocess", "--config", config, "--force") == 2
         assert ":12: __label must be 0 or 1, got 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ['"abc"', "[1]", "Infinity", "NaN", "{}"])
+    @pytest.mark.parametrize("bad", ['"abc"', "[1]", "Infinity", "NaN", "{}",
+                                     pytest.param("1" + "0" * 400, id="1e400")])
     def test_numerical_value_that_is_not_a_finite_number_exits_2(self, tmp_path, capsys, bad):
         lines = [self.line(user=f"u{i % 3}", ts=i, label=i % 2)[:-1] + f', "b": {i}}}'
                  for i in range(12)]
@@ -344,7 +360,8 @@ class TestGenericJsonl:
         assert "field 'b': numerical value" in err and "is not a finite number" in err
         assert not (tmp_path / "run" / "data" / "schema.json").exists()
 
-    @pytest.mark.parametrize("bad", ["abc", float("inf"), float("nan"), [1], {}])
+    @pytest.mark.parametrize("bad", ["abc", float("inf"), float("nan"), [1], {},
+                                     pytest.param(10**400, id="1e400")])
     def test_encoding_refuses_a_value_outside_the_fitted_schema(self, bad):
         schema = d.fit_schema([{"b": 1.0}, {"b": 3.0}], {"b": "numerical"})
         assert d.encode_event({"b": 2.0}, schema).entries == ((0, 0.5),)

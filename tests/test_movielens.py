@@ -1,9 +1,17 @@
 """MovieLens-1M ingestion against small fixture files; full-dataset checks
 run only when the real files are present (see test_acceptance)."""
 
+import json
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhfm import data as d
+from nhfm.cli import main
 from nhfm.errors import DataError
 from nhfm.movielens import MOVIELENS_FIELDS, ingest_movielens
 
@@ -112,3 +120,44 @@ class TestMalformedHandling:
         (ml_dir / "ratings.dat").write_text("", encoding="latin-1")
         with pytest.raises(DataError, match="no rating rows"):
             _ingest(ml_dir)
+
+    @pytest.mark.parametrize("ts", ["99999999999999", "253402300800", "-62135596801"])
+    def test_timestamp_outside_datetime_years_is_malformed(self, ml_dir, ts):
+        ratings = ml_dir / "ratings.dat"
+        bulk = "".join(f"1::10::4::{978300760 + i}\n" for i in range(400))
+        ratings.write_text(ratings.read_text(encoding="latin-1") + bulk + f"2::20::4::{ts}\n",
+                           encoding="latin-1")
+        assert len(_ingest(ml_dir)) == 404
+        ratings.write_text(f"1::10::5::{ts}\n" + bulk, encoding="latin-1")
+        assert len(_ingest(ml_dir)) == 400
+
+    def test_preprocess_exits_2_on_a_timestamp_out_of_range(self, ml_dir, capsys):
+        with open(ml_dir / "ratings.dat", "a", encoding="latin-1") as fh:
+            fh.write("2::10::4::99999999999999\n")
+        config = ml_dir / "config.json"
+        config.write_text(json.dumps({"dataset": {"kind": "movielens", "movielens_dir": str(ml_dir)},
+                                      "out_dir": str(ml_dir / "run")}))
+        assert main(["preprocess", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error: 1 malformed lines out of " in err and "Traceback" not in err
+
+
+_DATETIME_TS = st.integers(-62_135_596_800, 253_402_300_799)
+
+
+@given(st.lists(st.one_of(_DATETIME_TS, st.integers(-86_400 * 3, 86_400 * 3),
+                          st.sampled_from([-62_135_596_800, 253_402_300_799, -1, 0])),
+                min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_hour_and_weekday_equal_datetime_in_utc(stamps):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "users.dat").write_text("1::F::1::10::48067\n", encoding="latin-1")
+        (root / "movies.dat").write_text("10::Toy Story (1995)::Animation\n", encoding="latin-1")
+        (root / "ratings.dat").write_text("".join(f"1::10::4::{ts}\n" for ts in stamps),
+                                          encoding="latin-1")
+        records = _ingest(root)
+    assert len(records) == len(stamps)
+    for rec in records:
+        when = datetime.fromtimestamp(rec["__ts"], tz=timezone.utc)
+        assert (rec["hour"], rec["weekday"]) == (str(when.hour), str(when.weekday()))
