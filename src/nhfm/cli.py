@@ -1,6 +1,9 @@
 """Command-line entry point: preprocess, multi-seed train, eval, gradcheck,
 and explain, all driven by one JSON config with dotted-path overrides, and
-inspect, which summarizes one dataset file.
+inspect, which summarizes one dataset file. Every config key and its type is
+in ``CONFIG_TABLE``; the model, train and dataset.synth keys are the fields of
+the dataclasses they build. An unknown key, or a value of another type or out
+of range, is a data error.
 
 A run directory is laid out as:
 
@@ -23,6 +26,8 @@ import json
 import sys
 from itertools import compress
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import click
 import numpy as np
@@ -38,43 +43,122 @@ from . import training as tr
 from .errors import CheckpointError, DataError, NumericalError
 from .model import ModelConfig
 
-DEFAULT_CONFIG: dict = {
+
+def _refuse():
+    raise TypeError
+
+
+def _key(hint, default=None) -> tuple:
+    """A config key of type ``hint``: (default, converter, description). The
+    converter takes a JSON value of that type to the value, an int standing for
+    a float and a list for a tuple, and raises TypeError on any other value."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:                                       # T | None
+        _, inner, text = _key(args[0])
+        return default, (lambda v: None if v is None else inner(v)), text + " or null"
+    if origin is Literal:
+        return (default, (lambda v: v if type(v) is str and v in args else _refuse()),
+                "one of " + ", ".join(map(json.dumps, args)))
+    if origin in (list, tuple):
+        _, item, text = _key(args[0])
+        return (default, (lambda v: origin(map(item, v)) if type(v) is list else _refuse()),
+                f"a list of {text.split()[-1]}s")
+    if origin is dict:
+        _, item, text = _key(args[1])
+        return (default, (lambda v: {k: item(x) for k, x in v.items()} if type(v) is dict
+                          else _refuse()), f"a JSON object of {text.split()[-1]}s")
+    if hint is float:
+        return default, (lambda v: float(v) if type(v) in (int, float) else _refuse()), "a number"
+    return (default, (lambda v: v if type(v) is hint else _refuse()),   # so a bool is no int
+            {int: "an integer", str: "a string"}[hint])
+
+
+def _keys(cls, *skip) -> dict[str, tuple]:
+    """The fields of dataclass ``cls``, less ``skip``, as config keys."""
+    hints = get_type_hints(cls)
+    return {f.name: _key(hints[f.name], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# Every config key, by section. model, train and dataset.synth are the
+# fields of the dataclasses they build: their t_max is dataset.t_max, and
+# train.seed is each of seeds. Ranges are checked by the dataclasses and RunConfig.
+CONFIG_TABLE: dict = {
     "dataset": {
-        "kind": "synthetic",
-        "t_max": 10,
-        "ratios": [0.8, 0.1, 0.1],
-        "synth": {},
-        "synth_seed": 0,
-        "movielens_dir": None,
-        "path": None,
-        "fields": None,
+        "kind": _key(Literal["synthetic", "movielens", "generic"], "synthetic"),
+        "t_max": _key(int, ModelConfig.t_max),
+        "ratios": _key(tuple[float, ...], [0.8, 0.1, 0.1]),
+        "synth": _keys(syn.SynthSpec, "t_max"),
+        "synth_seed": _key(int, 0),
+        "movielens_dir": _key(str | None, None),
+        "path": _key(str | None, None),
+        "fields": _key(dict[str, str] | None, None),
     },
-    "model": {"variant": "full", "k": 64, "h": 64, "mlp_widths": [128, 64, 1]},
-    "train": {
-        "optimizer": "adam",
-        "learning_rate": 1e-3,
-        "batch_size": 32,
-        "max_epochs": 20,
-        "patience": 3,
-        "grad_clip_norm": None,
-        "eval_every": 1,
-        "pos_weight": 1.0,
-    },
-    "seeds": [1, 2, 3, 4, 5],
-    "out_dir": "runs/default",
-    "fpr_ceiling": 0.01,
-    "gradcheck": {"k": 2, "h": 2, "seed": 8},
+    "model": _keys(ModelConfig, "t_max"),
+    "train": _keys(tr.TrainConfig, "seed", "target_train_nll"),  # the last is library-only
+    "seeds": _key(list[int], [1, 2, 3, 4, 5]),
+    "out_dir": _key(str, "runs/default"),
+    "fpr_ceiling": _key(float, 0.01),
+    "gradcheck": {"k": _key(int, 2), "h": _key(int, 2), "seed": _key(int, 8)},
 }
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
+def _defaults(table: dict) -> dict:
+    return {name: _defaults(spec) if type(spec) is dict
+            else list(spec[0]) if type(spec[0]) is tuple else spec[0]
+            for name, spec in table.items()}
+
+
+DEFAULT_CONFIG: dict = _defaults(CONFIG_TABLE)
+
+_LABELS = {"model": "model config", "train": "train config", "gradcheck": "gradcheck config"}
+
+
+def _invalid(key: str, message: str) -> DataError:
+    return DataError(f"invalid {_LABELS.get(key.partition('.')[0], key)}: {message}")
+
+
+def _checked(raw, table: dict, path: str = "") -> dict:
+    """``raw`` with every value converted to its table type; a key that is
+    unknown or of another type is a ``DataError`` naming it. A missing key
+    reads as null."""
+    if type(raw) is not dict:
+        raise TypeError
+    if not raw.keys() <= table.keys():
+        import difflib  # only an unknown key needs it
+        name = min(raw.keys() - table.keys())
+        closest = difflib.get_close_matches(name, table, n=1, cutoff=0)[0]
+        raise _invalid(path + name, f"{path}{name} is not a config key; "
+                                    f"the closest is {path}{closest}")
+    out = {}
+    for name, spec in table.items():
+        value = raw.get(name)
+        try:
+            out[name] = (_checked(value, spec, f"{path}{name}.") if type(spec) is dict
+                         else spec[1](value))
+        except (TypeError, OverflowError):  # a float cannot hold the int
+            key, text = path + name, "a JSON object" if type(spec) is dict else spec[2]
+            raise _invalid(key, f"{key} must be {text}, "
+                                f"got {json.dumps(value, default=repr)}") from None
     return out
+
+
+def _built(key: str, cls, values: dict, **fixed):
+    config = cls(**values, **fixed)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise _invalid(key, str(exc)) from None
+    return config
+
+
+def _deep_merge(base: dict, extra: dict) -> None:
+    """Write ``extra`` into ``base``, merging the objects that both hold."""
+    for key, value in extra.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _deep_merge(base[key], value)
+        else:
+            base[key] = value
 
 
 def _apply_override(cfg: dict, dotted: str) -> None:
@@ -83,8 +167,8 @@ def _apply_override(cfg: dict, dotted: str) -> None:
     path, _, raw_value = dotted.partition("=")
     try:
         value = json.loads(raw_value)
-    except json.JSONDecodeError:
-        value = raw_value  # bare strings stay strings
+    except (ValueError, RecursionError):
+        value = raw_value  # bare strings stay strings, and so does what JSON refuses
     node = cfg
     keys = path.split(".")
     for key in keys[:-1]:
@@ -94,92 +178,42 @@ def _apply_override(cfg: dict, dotted: str) -> None:
     node[keys[-1]] = value
 
 
-def _checked(what: str, build):
-    """``build()``, with a bad or missing config value reported as a
-    ``DataError`` naming ``what``."""
-    try:
-        return build()
-    except KeyError as exc:
-        raise DataError(f"invalid {what}: missing key {exc}") from None
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise DataError(f"invalid {what}: {exc}") from None
-
-
-def _seed(raw) -> int:
-    seed = int(raw)
-    if seed < 0:
-        raise ValueError(f"a seed must be >= 0, got {raw}")
-    return seed
-
-
-def _seeds(raw) -> list[int]:
-    if not isinstance(raw, list):
-        raise TypeError(f"expected a list of seeds, got {raw!r}")
-    seeds = [_seed(s) for s in raw]
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must be non-empty and distinct, got {raw}")
-    return seeds
-
-
-def _ratios(raw) -> tuple[float, float, float]:
-    train, valid, test = (float(r) for r in raw)
-    if not (train > 0 and valid >= 0 and test >= 0
-            and abs(train + valid + test - 1.0) <= 1e-9):
-        raise ValueError(f"need three shares >= 0 summing to 1 with train > 0, got {raw}")
-    return train, valid, test
-
-
-def _fpr_ceiling(raw) -> float:
-    ceiling = float(raw)
-    if not 0.0 < ceiling <= 1.0:
-        raise ValueError(f"must be in (0, 1], got {raw}")
-    return ceiling
-
-
-def _model_config(mc: dict, t_max) -> ModelConfig:
-    config = ModelConfig(variant=mc["variant"], k=int(mc["k"]), h=int(mc["h"]),
-                         mlp_widths=tuple(int(w) for w in mc["mlp_widths"]),
-                         t_max=int(t_max))
-    config.validate()
-    return config
-
-
-def _train_config(tc: dict, seed: int) -> tr.TrainConfig:
-    config = tr.TrainConfig(
-        optimizer=tc["optimizer"],
-        learning_rate=float(tc["learning_rate"]),
-        batch_size=int(tc["batch_size"]),
-        max_epochs=int(tc["max_epochs"]),
-        patience=int(tc["patience"]),
-        seed=seed,
-        grad_clip_norm=(None if tc.get("grad_clip_norm") is None
-                        else float(tc["grad_clip_norm"])),
-        eval_every=int(tc.get("eval_every", 1)),
-        pos_weight=float(tc.get("pos_weight", 1.0)),
-    )
-    config.validate()
-    return config
-
-
 class RunConfig:
     """Effective configuration: file contents over defaults, then overrides.
 
-    The model and train configs, seeds, split ratios and FPR ceiling are
-    built and checked here, once, so a bad value is a ``DataError`` before
-    any command starts work.
+    Every value is checked against ``CONFIG_TABLE`` and the model, train,
+    synthetic-data and gradient-check configs are built here, once, so a bad
+    value is a ``DataError`` before any command starts work.
     """
 
     def __init__(self, raw: dict, source_text: str | None = None):
-        self.raw = raw
-        self.source_text = source_text
-        self.out_dir = _checked("out_dir", lambda: Path(raw["out_dir"]))
-        self.seeds = _checked("seeds", lambda: _seeds(raw["seeds"]))
-        self.fpr_ceiling = _checked("fpr_ceiling", lambda: _fpr_ceiling(raw["fpr_ceiling"]))
-        self._ratios = _checked("dataset.ratios", lambda: _ratios(raw["dataset"]["ratios"]))
-        self._model = _checked("model config", lambda: _model_config(
-            raw["model"], raw["dataset"]["t_max"]))
-        self._train = _checked("train config", lambda: _train_config(
-            raw["train"], self.seeds[0]))
+        self.raw, self.source_text = raw, source_text
+        c = _checked(raw, CONFIG_TABLE)
+        self.dataset = ds = c["dataset"]
+        gc = c["gradcheck"]
+        self.seeds = seeds = c["seeds"]
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise _invalid("seeds", f"seeds must be non-empty and distinct, got {seeds}")
+        for key, values in (("seeds", seeds), ("dataset.synth_seed", [ds["synth_seed"]]),
+                            ("gradcheck.seed", [gc["seed"]])):
+            if min(values) < 0:
+                raise _invalid(key, f"a seed must be >= 0, got {min(values)} in {key}")
+        self.fpr_ceiling = c["fpr_ceiling"]
+        if not 0.0 < self.fpr_ceiling <= 1.0:
+            raise _invalid("fpr_ceiling", f"must be in (0, 1], got {self.fpr_ceiling}")
+        r = ds["ratios"]
+        if not (len(r) == 3 and r[0] > 0 and min(r) >= 0 and abs(sum(r) - 1.0) <= 1e-9):
+            raise _invalid("dataset.ratios", "need three shares >= 0 summing to 1 with "
+                                             f"train > 0, got {list(r)}")
+        self.out_dir = Path(c["out_dir"])
+        self._model = _built("model", ModelConfig, c["model"], t_max=ds["t_max"])
+        self._train = _built("train", tr.TrainConfig, c["train"], seed=seeds[0])
+        self.gradcheck_model = _built("gradcheck", ModelConfig, {"k": gc["k"], "h": gc["h"]},
+                                      variant="full", mlp_widths=(3, 1), t_max=5)
+        self.gradcheck_seed = gc["seed"]
+        self.synth = syn.SynthSpec(**ds["synth"], t_max=ds["t_max"])
+        if ds["kind"] == "synthetic":
+            self.synth.validate()
 
     @classmethod
     def load(cls, config_path: str | None, overrides: tuple[str, ...],
@@ -190,11 +224,11 @@ class RunConfig:
             source_text = Path(config_path).read_text(encoding="utf-8")
             try:
                 loaded = json.loads(source_text)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
                 raise DataError(f"config {config_path} is not valid JSON: {exc}")
             if not isinstance(loaded, dict):
                 raise DataError(f"config {config_path} must hold a JSON object")
-            cfg = _deep_merge(cfg, loaded)
+            _deep_merge(cfg, loaded)
         for dotted in overrides:
             _apply_override(cfg, dotted)
         if out_dir is not None:
@@ -208,7 +242,7 @@ class RunConfig:
         return dataclasses.replace(self._train, seed=seed)
 
     def ratios(self) -> tuple[float, float, float]:
-        return self._ratios
+        return self.dataset["ratios"]
 
 
 # ---------------------------------------------------------------------------
@@ -257,50 +291,24 @@ def ingest_generic(path) -> list[dict]:
     return records
 
 
-def _synth_spec(synth_cfg: dict) -> syn.SynthSpec:
-    spec = syn.SynthSpec(**synth_cfg)
-    spec.validate()
-    return spec
-
-
 def prepare_datasets(cfg: RunConfig):
     """Build (train, valid, test) datasets per the config's dataset section."""
-    ds_cfg = cfg.raw["dataset"]
-    kind = ds_cfg["kind"]
-    t_max = int(ds_cfg["t_max"])
-    ratios = cfg.ratios()
-
-    if kind == "synthetic":
-        synth_cfg = _checked("dataset.synth", lambda: dict(ds_cfg.get("synth") or {}))
-        if synth_cfg.get("t_max", t_max) != t_max:
-            raise DataError(
-                f"dataset.synth.t_max={synth_cfg['t_max']} conflicts with "
-                f"dataset.t_max={t_max}")
-        synth_cfg["t_max"] = t_max
-        spec = _checked("dataset.synth", lambda: _synth_spec(synth_cfg))
-        seed = _checked("dataset.synth_seed", lambda: _seed(ds_cfg.get("synth_seed", 0)))
-        return d.split(syn.synth_generate(spec, seed=seed), ratios)
-    if kind == "movielens":
-        root = ds_cfg.get("movielens_dir")
-        if not root:
+    ds = cfg.dataset
+    if ds["kind"] == "synthetic":
+        return d.split(syn.synth_generate(cfg.synth, seed=ds["synth_seed"]), ds["ratios"])
+    if ds["kind"] == "movielens":
+        if not ds["movielens_dir"]:
             raise DataError("dataset.movielens_dir is required for kind=movielens")
-        root = Path(root)
+        root = Path(ds["movielens_dir"])
         records = ml.ingest_movielens(root / "ratings.dat", root / "users.dat",
                                       root / "movies.dat")
         fields = ml.MOVIELENS_FIELDS
-    elif kind == "generic":
-        path = ds_cfg.get("path")
-        fields = ds_cfg.get("fields")
-        if not path or not fields:
-            raise DataError("dataset.path and dataset.fields are required for kind=generic")
-        if not isinstance(fields, dict):
-            raise DataError("dataset.fields must be a JSON object of field name -> kind, "
-                            f"got {fields!r}")
-        records = ingest_generic(path)
     else:
-        raise DataError(f"unknown dataset kind {kind!r}")
-
-    return d.split(_encode_records(records, fields, ratios, t_max), ratios)
+        if not ds["path"] or not ds["fields"]:
+            raise DataError("dataset.path and dataset.fields are required for kind=generic")
+        records = ingest_generic(ds["path"])
+        fields = ds["fields"]
+    return d.split(_encode_records(records, fields, ds["ratios"], ds["t_max"]), ds["ratios"])
 
 
 def table_stats(datasets) -> str:
@@ -330,14 +338,11 @@ def _ensure_dir(path: Path, force: bool) -> None:
 
 
 def _write_config_copy(cfg: RunConfig, out: Path, overridden: bool) -> None:
-    if cfg.source_text is not None:
-        (out / "config.json").write_text(cfg.source_text, encoding="utf-8")
-    else:
-        (out / "config.json").write_text(json.dumps(cfg.raw, indent=2),
-                                         encoding="utf-8")
+    effective = json.dumps(cfg.raw, indent=2)
+    (out / "config.json").write_text(
+        effective if cfg.source_text is None else cfg.source_text, encoding="utf-8")
     if overridden:
-        (out / "config.effective.json").write_text(
-            json.dumps(cfg.raw, indent=2), encoding="utf-8")
+        (out / "config.effective.json").write_text(effective, encoding="utf-8")
 
 
 def _load_run_data(out: Path):
@@ -413,14 +418,12 @@ def preprocess(config_path, out_dir, overrides, force):
               default=None, help="Model variant override.")
 def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant):
     """Train one checkpoint per seed and aggregate test metrics."""
-    cfg = RunConfig.load(config_path, overrides, out_dir)
-    if seeds_flag is not None:
-        cfg.raw["seeds"] = [s for s in seeds_flag.split(",") if s]
-    elif seed_flag is not None:
-        cfg.raw["seeds"] = [seed_flag]
+    seeds = seeds_flag if seeds_flag is not None else seed_flag
+    if seeds is not None:
+        overrides += (f"seeds=[{seeds}]",)
     if variant is not None:
-        cfg.raw["model"]["variant"] = variant
-    cfg = RunConfig(cfg.raw, cfg.source_text)
+        overrides += (f"model.variant={variant}",)
+    cfg = RunConfig.load(config_path, overrides, out_dir)
 
     out = cfg.out_dir
     schema, splits = _load_run_data(out)
@@ -489,10 +492,9 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
 @click.option("--fpr-ceiling", type=float, default=None)
 def eval_cmd(config_path, out_dir, overrides, split_tag, baseline_dir, fpr_ceiling):
     """Score trained checkpoints on a split; t-test against a baseline run."""
-    cfg = RunConfig.load(config_path, overrides, out_dir)
     if fpr_ceiling is not None:
-        cfg.raw["fpr_ceiling"] = fpr_ceiling
-        cfg = RunConfig(cfg.raw, cfg.source_text)
+        overrides += (f"fpr_ceiling={json.dumps(fpr_ceiling)}",)
+    cfg = RunConfig.load(config_path, overrides, out_dir)
     ceiling = cfg.fpr_ceiling
     out = cfg.out_dir
     schema, splits = _load_run_data(out)
@@ -538,10 +540,6 @@ def eval_cmd(config_path, out_dir, overrides, split_tag, baseline_dir, fpr_ceili
 def gradcheck(config_path, overrides):
     """Finite-difference check of the full model at tiny dimensions."""
     cfg = RunConfig.load(config_path, overrides)
-    gc = cfg.raw["gradcheck"]
-    config = _checked("gradcheck config", lambda: _model_config(
-        {"variant": "full", "k": gc["k"], "h": gc["h"], "mlp_widths": (3, 1)}, 5))
-    seed = _checked("gradcheck config", lambda: _seed(gc["seed"]))
     spec = syn.SynthSpec(n_users=12, n_fields=3, vocab_size=3,
                          len_min=2, len_max=6, t_max=5)
     ds = syn.synth_generate(spec, seed=23)
@@ -549,7 +547,8 @@ def gradcheck(config_path, overrides):
     single = next(s for s in ds.sequences if len(s.history_positions()) == 1)
     zero = next(s for s in ds.sequences if not s.history_positions())
     probe = [multi[0], multi[1], single, zero]
-    report = tr.grad_check_mode(probe, ds.schema.n, config, seed=seed)
+    report = tr.grad_check_mode(probe, ds.schema.n, cfg.gradcheck_model,
+                                seed=cfg.gradcheck_seed)
     for line in report.lines():
         click.echo(line)
     if not report.passed():
@@ -581,10 +580,8 @@ def explain(config_path, out_dir, overrides, count, n_sequences, seed_flag):
     ck = cp.load_checkpoint(seed_dirs[0] / "checkpoint.nhfmck")
     ck.require_schema(schema)
 
-    pieces = [ex.render_feature_ranking(
-        ex.top_wide_features(ck, schema, count, "high"))]
-    pieces.append(ex.render_feature_ranking(
-        ex.top_wide_features(ck, schema, count, "low")))
+    pieces = [ex.render_feature_ranking(ex.top_wide_features(ck, schema, count, direction))
+              for direction in ("high", "low")]
 
     if not ck.model_config.uses_attention():
         pieces.append(f"No attention report: variant {ck.model_config.variant!r} has no "
@@ -596,7 +593,7 @@ def explain(config_path, out_dir, overrides, count, n_sequences, seed_flag):
         top = positives[np.argsort(-scores[positives], kind="stable")[:n_sequences]]
         for i in top.tolist():
             pieces.append(ex.render_event_report(
-                ex.attention_report(ck, test.sequences[i], schema)))
+                ex.attention_report(ck, test.store.take([i]).views()[0], schema)))
 
     text = "\n".join(pieces)
     (out / "explain.txt").write_text(text, encoding="utf-8")

@@ -60,7 +60,6 @@ def ingest_movielens(ratings_path, users_path, movies_path,
     ``max_malformed_fraction`` of them aborts the ingest.
     """
     malformed = [0]
-    total = [0]
 
     users: dict[str, dict] = {}
     for uid, gender, age, occupation, zipcode in _read_delimited(
@@ -84,7 +83,6 @@ def ingest_movielens(ratings_path, users_path, movies_path,
 
     records: list[dict] = []
     for uid, mid, rating_s, ts_s in _read_delimited(Path(ratings_path), 4, malformed):
-        total[0] += 1
         user = users.get(uid)
         movie = movies.get(mid)
         try:
@@ -108,12 +106,13 @@ def ingest_movielens(ratings_path, users_path, movies_path,
         rec.update(user)
         records.append(rec)
 
-    if total[0] == 0:
+    # a ratings line is a record or a malformed line, never both
+    lines = len(records) + malformed[0]
+    if malformed[0] > max_malformed_fraction * lines:
+        raise DataError(f"{malformed[0]} malformed lines out of {lines} "
+                        f"exceeds the {max_malformed_fraction:.0%} limit")
+    if not records:
         raise DataError("no rating rows could be read")
-    if malformed[0] > max_malformed_fraction * (total[0] + malformed[0]):
-        raise DataError(
-            f"{malformed[0]} malformed lines out of {total[0] + malformed[0]} "
-            f"exceeds the {max_malformed_fraction:.0%} limit")
 
     records.sort(key=lambda r: (r["__user"], r["__ts"]))
     return records

@@ -1,22 +1,26 @@
 """End-to-end command tests over a small synthetic configuration."""
 
+import copy
 import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nhfm
 from nhfm import checkpoint as cp
+from nhfm import cli
 from nhfm import data as d
 from nhfm import dataset_io as dio
 from nhfm import model as m
+from nhfm import synthetic as syn
 from nhfm import training as tr
 from nhfm.cli import DEFAULT_CONFIG, RunConfig, ingest_generic, main
 from nhfm.errors import CheckpointError, DataError, NumericalError
@@ -208,6 +212,19 @@ class TestEvalExplain:
         assert "High-risk features" in text and "Low-risk features" in text
         assert "user=" not in text
         assert "needs a beta or full checkpoint" in text
+
+    def test_explain_decodes_only_the_windows_it_reports(self, trained, monkeypatch):
+        config, out = trained
+        views = d.EventStore.views
+
+        def one_window(store):
+            if len(store) > 1:
+                raise AssertionError(f"decoded {len(store)} windows")
+            return views(store)
+
+        monkeypatch.setattr(d.EventStore, "views", one_window)
+        assert run_cli("explain", "--config", config, "--sequences", "2") == 0
+        assert (out / "explain.txt").read_text().count("user=") == 2
 
     @pytest.mark.parametrize("option", ["--count", "--sequences"])
     def test_explain_refuses_negative_counts(self, trained, option, capsys):
@@ -453,6 +470,137 @@ class TestConfigDefaults:
         assert DEFAULT_CONFIG["model"]["variant"] == "full"
 
 
+_INT = [True, 1.5, "1", None, [1]]
+_FLOAT = [True, "0.5", None, [0.5]]
+_STR = [5, True, None, ["x"]]
+_SHARE = st.floats(0.0, 1.0)
+
+# a valid value and values of other types for every config key
+_KEYS = {
+    "dataset.kind": (st.sampled_from(["synthetic", "movielens", "generic"]), _STR + ["x"]),
+    "dataset.t_max": (st.integers(2, 40), _INT),
+    "dataset.ratios": (st.sampled_from([[0.8, 0.1, 0.1], [1, 0, 0], [0.5, 0.25, 0.25],
+                                        [0.6, 0.2, 0.2], [0.7, 0.3, 0]]),
+                       [0.8, [True, 0, 0], ["1", 0, 0], None]),
+    "dataset.synth.n_users": (st.integers(1, 1000), _INT),
+    "dataset.synth.n_fields": (st.integers(2, 9), _INT),
+    "dataset.synth.vocab_size": (st.integers(2, 50), _INT),
+    "dataset.synth.len_min": (st.integers(1, 5), _INT),
+    "dataset.synth.len_max": (st.integers(5, 30), _INT),
+    "dataset.synth.rule_strength": (_SHARE, _FLOAT),
+    "dataset.synth.plant_rate": (_SHARE | st.sampled_from([0, 1]), _FLOAT),
+    "dataset.synth.trigger_field": (st.integers(0, 1), _INT),
+    "dataset.synth.current_token": (st.integers(0, 1), _INT),
+    "dataset.synth.history_token": (st.integers(0, 1), _INT),
+    "dataset.synth.base_rate": (_SHARE, _FLOAT),
+    "dataset.synth_seed": (st.integers(0, 2**32), _INT),
+    "dataset.movielens_dir": (st.none() | st.text(), [5, True, ["x"]]),
+    "dataset.path": (st.none() | st.text(), [5, True, ["x"]]),
+    "dataset.fields": (st.none() | st.dictionaries(st.text(), st.sampled_from(
+        ["categorical", "numerical"]), max_size=3), [["x"], 5, {"a": 1}, {"a": None}]),
+    "model.variant": (st.sampled_from(m.VARIANTS), _STR),
+    "model.k": (st.integers(1, 256), _INT),
+    "model.h": (st.integers(1, 256), _INT),
+    "model.mlp_widths": (st.lists(st.integers(1, 256), max_size=3).map(lambda w: w + [1]),
+                         [5, [16.5, 1], [True], "[1]", None]),
+    "train.optimizer": (st.sampled_from(["sgd", "adam"]), _STR),
+    "train.learning_rate": (st.floats(1e-6, 10.0) | st.integers(1, 3), _FLOAT),
+    "train.batch_size": (st.integers(1, 512), _INT),
+    "train.max_epochs": (st.integers(1, 100), _INT),
+    "train.patience": (st.integers(1, 10), _INT),
+    "train.grad_clip_norm": (st.none() | st.floats(0.01, 100.0) | st.integers(1, 5),
+                             [True, "1", [1.0]]),
+    "train.eval_every": (st.integers(1, 5), _INT),
+    "train.pos_weight": (st.floats(0.01, 100.0) | st.integers(1, 5), _FLOAT),
+    "seeds": (st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True),
+              [5, [1.5, 2], [True], ["1"], "1,2", None]),
+    "out_dir": (st.text(), _STR),
+    "fpr_ceiling": (st.floats(0.0, 1.0, exclude_min=True) | st.just(1), _FLOAT),
+    "gradcheck.k": (st.integers(1, 8), _INT),
+    "gradcheck.h": (st.integers(1, 8), _INT),
+    "gradcheck.seed": (st.integers(0, 1000), _INT),
+}
+
+
+def _nested(flat: dict) -> dict:
+    tree: dict = {}
+    for key, value in flat.items():
+        *sections, name = key.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+    return tree
+
+
+def _as_floats(section: dict, names) -> dict:
+    return {k: float(v) if k in names and v is not None else v for k, v in section.items()}
+
+
+def _leaf_keys(table: dict, path: str = ""):
+    for name, spec in table.items():
+        if type(spec) is dict:
+            yield from _leaf_keys(spec, f"{path}{name}.")
+        else:
+            yield path + name
+
+
+def test_every_key_refuses_each_value_of_another_type():
+    assert set(_KEYS) == set(_leaf_keys(cli.CONFIG_TABLE))
+    for key, (_, wrong_values) in _KEYS.items():
+        for wrong in wrong_values:
+            cfg = copy.deepcopy(DEFAULT_CONFIG)
+            *sections, name = key.split(".")
+            node = cfg
+            for section in sections:
+                node = node[section]
+            node[name] = wrong
+            with pytest.raises(DataError, match=re.escape(f"{key} must be ")):
+                RunConfig(cfg)
+
+
+@given(st.fixed_dictionaries({key: valid for key, (valid, _) in _KEYS.items()}), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_config_table_builds_exactly_the_values_drawn(values, data):
+    raw = _nested(values)
+    cfg = RunConfig(copy.deepcopy(raw))
+    ds, train = raw["dataset"], raw["train"]
+    t_max = ds["t_max"]
+    # repr tells 1 from 1.0 and a list from a tuple
+    assert repr(cfg.model_config()) == repr(m.ModelConfig(
+        raw["model"]["variant"], raw["model"]["k"], raw["model"]["h"],
+        tuple(raw["model"]["mlp_widths"]), t_max))
+    train = _as_floats(train, ("learning_rate", "grad_clip_norm", "pos_weight"))
+    for seed in values["seeds"]:
+        assert repr(cfg.train_config(seed)) == repr(tr.TrainConfig(**train, seed=seed))
+    synth = _as_floats(ds["synth"], ("rule_strength", "plant_rate", "base_rate"))
+    assert repr(cfg.synth) == repr(syn.SynthSpec(**synth, t_max=t_max))
+    assert cfg.seeds == values["seeds"]
+    assert repr(cfg.ratios()) == repr(tuple(float(r) for r in ds["ratios"]))
+    assert repr(cfg.fpr_ceiling) == repr(float(values["fpr_ceiling"]))
+    assert cfg.out_dir == Path(values["out_dir"])
+    assert repr(cfg.gradcheck_model) == repr(m.ModelConfig(
+        "full", raw["gradcheck"]["k"], raw["gradcheck"]["h"], (3, 1), 5))
+    assert cfg.gradcheck_seed == raw["gradcheck"]["seed"]
+
+    key = data.draw(st.sampled_from(sorted(_KEYS)))
+    if data.draw(st.booleans()):
+        wrong = _nested({**values, key: data.draw(st.sampled_from(_KEYS[key][1]))})
+        with pytest.raises(DataError, match=re.escape(f"{key} must be ")):
+            RunConfig(wrong)
+    else:
+        cut = data.draw(st.integers(0, len(key) - 1))
+        typo = key[:cut] + data.draw(st.sampled_from(["", "x", "_"])) + key[cut + 1:]
+        assume(typo not in _KEYS and not any(k.startswith(typo + ".") for k in _KEYS))
+        # the message names the typo's first part that is not a config key
+        parts, node, depth = typo.split("."), cli.CONFIG_TABLE, 0
+        while parts[depth] in node:
+            node, depth = node[parts[depth]], depth + 1
+        unknown = ".".join(parts[:depth + 1])
+        with pytest.raises(DataError, match=re.escape(f"{unknown} is not a config key")):
+            RunConfig(_nested({**values, typo: 1}))
+
+
 class TestBadConfigValues:
     """Bad config values and run-directory files end in an error message
     and exit code 2, never a traceback."""
@@ -471,10 +619,32 @@ class TestBadConfigValues:
         ("model.mlp_widths=[0,1]", "MLP widths must be >= 1"),
         ("train.grad_clip_norm=0", "grad_clip_norm must be finite and > 0"),
         ("train.pos_weight=NaN", "pos_weight must be finite and > 0"),
-        ("seeds=5", "expected a list of seeds"),
+        ("seeds=5", "seeds must be a list of integers, got 5"),
         ("seeds=[-1]", "a seed must be >= 0"),
         ("dataset.ratios=[0.5,0.5]", "invalid dataset.ratios"),
         ("fpr_ceiling=abc", "invalid fpr_ceiling"),
+        # a value of another type is refused, never truncated or parsed
+        ("model.k=2.7", "model.k must be an integer, got 2.7"),
+        ("model.k=true", "model.k must be an integer, got true"),
+        ("train.max_epochs=1.5", "train.max_epochs must be an integer, got 1.5"),
+        ("train.patience=2.9", "train.patience must be an integer, got 2.9"),
+        ("dataset.t_max=7.9", "dataset.t_max must be an integer, got 7.9"),
+        ("seeds=[1.5,2]", "seeds must be a list of integers, got [1.5, 2]"),
+        ("model.mlp_widths=[16.5,1]", "model.mlp_widths must be a list of integers, got [16.5, 1]"),
+        ('train.batch_size="32"', 'train.batch_size must be an integer, got "32"'),
+        ("fpr_ceiling=true", "fpr_ceiling must be a number, got true"),
+        ("train.grad_clip_norm=true", "train.grad_clip_norm must be a number or null, got true"),
+        ("dataset.ratios=[true,0,0]", "dataset.ratios must be a list of numbers, got [true, 0, 0]"),
+        ("gradcheck.k=2.5", "gradcheck.k must be an integer, got 2.5"),
+        ("dataset.synth_seed=1.5", "dataset.synth_seed must be an integer, got 1.5"),
+        ("dataset.synth.n_users=true", "dataset.synth.n_users must be an integer, got true"),
+        # an unknown key is refused, naming the closest known one
+        ("train.learnig_rate=0.5",
+         "train.learnig_rate is not a config key; the closest is train.learning_rate"),
+        ("modle.k=3", "modle is not a config key; the closest is model"),
+        ("bogus=1", "bogus is not a config key; the closest is "),
+        ("train.target_train_nll=0.5", "train.target_train_nll is not a config key"),
+        ("dataset.synth.t_max=5", "dataset.synth.t_max is not a config key"),
     ])
     def test_train_rejects_before_training(self, config_file, capsys, override, message):
         config, out = config_file
@@ -497,6 +667,20 @@ class TestBadConfigValues:
     def test_gradcheck_k_zero(self, capsys):
         assert run_cli("gradcheck", "--set", "gradcheck.k=0") == 2
         assert "invalid gradcheck config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["integer-over-the-digit-limit", "nested-100k-deep"])
+    def test_a_value_the_json_parser_refuses(self, tmp_path, capsys, value):
+        path = tmp_path / "config.json"
+        path.write_text('{"model": {"k": ' + value + "}}")
+        assert run_cli("gradcheck", "--config", path) == 2
+        assert f"config {path} is not valid JSON" in capsys.readouterr().err
+        assert run_cli("gradcheck", "--set", f"model.k={value}") == 2  # read as a string
+        assert "model.k must be an integer, got" in capsys.readouterr().err
+
+    def test_an_integer_too_large_for_a_float_setting(self, capsys):
+        assert run_cli("gradcheck", "--set", "train.learning_rate=1" + "0" * 400) == 2
+        assert "train.learning_rate must be a number, got 1000" in capsys.readouterr().err
 
     def test_config_file_that_is_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -551,24 +735,32 @@ class TestBadConfigValues:
 
 _BAD_VALUES = [
     ("train.learning_rate", ["-1", "0", "abc", "NaN", "Infinity", "[1]", "null"]),
-    ("train.patience", ["0", "-3", "abc", "{}"]),
+    ("train.patience", ["0", "-3", "abc", "{}", "2.9"]),
     ("train.optimizer", ["rmsprop", "5", "null"]),
-    ("train.batch_size", ["0", "-1", "x", "[]"]),
+    ("train.batch_size", ["0", "-1", "x", "[]", '"32"']),
     ("train.eval_every", ["0", "-1", "abc"]),
-    ("train.max_epochs", ["0", "-2", "abc"]),
-    ("train.grad_clip_norm", ["0", "-1", "NaN", "abc"]),
+    ("train.max_epochs", ["0", "-2", "abc", "1.5"]),
+    ("train.grad_clip_norm", ["0", "-1", "NaN", "abc", "true"]),
     ("train.pos_weight", ["0", "-2", "NaN", "abc"]),
     ("train", ["5", "{}"]),
-    ("model.k", ["abc", "0", "-1", "[2]", "1.5e400"]),
+    ("model.k", ["abc", "0", "-1", "[2]", "1.5e400", "2.7", "true"]),
     ("model.h", ["0", "abc"]),
     ("model.variant", ["gamma", "3", "null"]),
-    ("model.mlp_widths", ["[4,2]", "[]", "5", "abc", "[0,1]"]),
+    ("model.mlp_widths", ["[4,2]", "[]", "5", "abc", "[0,1]", "[16.5,1]"]),
     ("model", ["5", "{}"]),
-    ("dataset.t_max", ["0", "abc"]),
-    ("seeds", ["5", "[]", "[1,1]", "[-1]", "abc", "[\"a\"]"]),
-    ("dataset.ratios", ["[0.5,0.5]", "[0.5,0.6,0.1]", "1", "[-0.1,0.6,0.5]", "[0,0.5,0.5]"]),
-    ("fpr_ceiling", ["abc", "0", "2", "-0.5", "NaN", "null"]),
+    ("dataset.t_max", ["0", "abc", "7.9"]),
+    ("seeds", ["5", "[]", "[1,1]", "[-1]", "abc", "[\"a\"]", "[1.5,2]"]),
+    ("dataset.ratios", ["[0.5,0.5]", "[0.5,0.6,0.1]", "1", "[-0.1,0.6,0.5]", "[0,0.5,0.5]",
+                        "[true,0,0]"]),
+    ("fpr_ceiling", ["abc", "0", "2", "-0.5", "NaN", "null", "true"]),
     ("out_dir", ["null", "5"]),
+    ("gradcheck.k", ["2.5"]),
+    ("dataset.synth_seed", ["1.5"]),
+    ("dataset.synth.n_users", ["true"]),
+    ("train.learnig_rate", ["0.5"]),
+    ("modle.k", ["3"]),
+    ("bogus", ["1"]),
+    ("train.target_train_nll", ["0.5"]),
 ]
 _BAD_PREPROCESS = [
     ("dataset.synth.bogus", ["1"]),

@@ -2,6 +2,7 @@
 ``encode_oracle``, and the pinned bytes ``nhfm preprocess`` writes for small
 MovieLens and generic JSONL inputs."""
 
+import copy
 import hashlib
 import json
 import re
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import encode_oracle as oracle
+from nhfm import cli
 from nhfm import data as d
+from nhfm import dataset_io as dio
 from nhfm.cli import _encode_records, main
 from nhfm.errors import DataError
 
@@ -204,6 +207,28 @@ def test_preprocess_file_bytes_are_pinned(tmp_path, kind):
                                   "out_dir": str(tmp_path / "run")}))
     assert main(["preprocess", "--config", str(config)]) == 0
     written = {name: hashlib.sha256((tmp_path / "run" / "data" / name).read_bytes()).hexdigest()
+               for name in PINNED[kind]}
+    assert written == PINNED[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_default_config_with_a_dataset_update_builds_the_pinned_files(tmp_path, kind):
+    # the benchmark's preprocess builds its datasets this way, in every
+    # timed ingest_ml round: a copy of DEFAULT_CONFIG whose dataset section
+    # is updated, straight into RunConfig and prepare_datasets
+    if kind == "movielens":
+        _movielens_files(tmp_path / "ml")
+        dataset = {"movielens_dir": str(tmp_path / "ml")}
+    else:
+        (tmp_path / "events.jsonl").write_text(_generic_lines(), encoding="utf-8")
+        dataset = {"path": str(tmp_path / "events.jsonl"), "fields": GENERIC_FIELDS}
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["dataset"].update(dataset, kind=kind, t_max=4)
+    parts = cli.prepare_datasets(cli.RunConfig(cfg))
+    dio.save_schema(parts[0].schema, tmp_path / "schema.json")
+    for ds in parts:
+        dio.write_dataset(ds, tmp_path / f"{ds.split}.nhfmds")
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED[kind]}
     assert written == PINNED[kind]
 

@@ -116,6 +116,17 @@ class TestMalformedHandling:
         with pytest.raises(DataError, match="malformed"):
             _ingest(ml_dir)
 
+    def test_a_line_that_fails_validation_counts_once(self, ml_dir):
+        ratings = ml_dir / "ratings.dat"
+        ratings.write_text("1::10::5::978300760\n1::20::9::978301760\n2::20::4::978302760\n",
+                           encoding="latin-1")
+        with pytest.raises(DataError, match="^1 malformed lines out of 3 exceeds"):
+            _ingest(ml_dir)
+        # 1 bad line of 100 is within the 1% limit
+        ratings.write_text(ratings.read_text(encoding="latin-1") + "".join(
+            f"1::10::4::{978300761 + i}\n" for i in range(97)), encoding="latin-1")
+        assert len(_ingest(ml_dir)) == 99
+
     def test_empty_ratings_aborts(self, ml_dir):
         (ml_dir / "ratings.dat").write_text("", encoding="latin-1")
         with pytest.raises(DataError, match="no rating rows"):
