@@ -24,7 +24,6 @@ import copy
 import dataclasses
 import json
 import sys
-from itertools import compress
 from pathlib import Path
 from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -249,7 +248,7 @@ class RunConfig:
 # dataset preparation
 
 
-def _encode_records(records: list[dict], field_config: dict, ratios, t_max: int
+def _encode_records(records: d.Columns, field_config: dict, ratios, t_max: int
                     ) -> d.Dataset:
     """The windows of records sorted by user and time. The schema
     is fit on each user's earliest training fraction only, mirroring the
@@ -257,14 +256,19 @@ def _encode_records(records: list[dict], field_config: dict, ratios, t_max: int
     owner, _ = d.user_positions(records)
     n_train = np.array([d.split_counts(int(m), ratios)[0] for m in np.bincount(owner)])
     train = np.arange(len(records)) - np.searchsorted(owner, owner) < n_train[owner]
-    schema = d.fit_schema(compress(records, train), field_config)
+    schema = d.fit_schema(records.take(train), field_config)
     return d.Dataset(schema, store=d.encode_windows(records, schema, t_max))
 
 
-def ingest_generic(path) -> list[dict]:
-    """Newline-delimited JSON records with __user/__ts/__label meta keys."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
+def ingest_generic(path, field_config: dict) -> d.Columns:
+    """The records of a newline-delimited JSON file, one object per line
+    with the meta keys __user, __ts and __label, as columns of the fields of
+    ``field_config``, sorted by the ``str`` of __user and then __ts with
+    ties in file order. Each line's object is dropped once its values are
+    in their columns."""
+    stamps: list = []
+
+    def records(fh):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -281,14 +285,24 @@ def ingest_generic(path) -> list[dict]:
             if rec["__label"] not in (0, 1):
                 raise DataError(f"{path}:{lineno}: __label must be 0 or 1, "
                                 f"got {rec['__label']!r}")
-            records.append(rec)
-    if not records:
+            stamps.append(rec["__ts"])
+            yield rec
+
+    with open(path, encoding="utf-8") as fh:
+        columns = d.Columns.of(records(fh), field_config)
+    if not len(columns):
         raise DataError(f"{path}: no records")
+    # users ranked by their str, so comparing two keys compares what
+    # (str(__user), __ts) compares, in the same order, and fails alike
+    users = columns.user.values
+    rank = np.empty(len(users), dtype=np.intp)
+    rank[sorted(range(len(users)), key=users.__getitem__)] = np.arange(len(users))
+    keys = list(zip(rank[columns.user.code].tolist(), stamps))
     try:
-        records.sort(key=lambda r: (str(r["__user"]), r["__ts"]))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
     except TypeError as exc:
         raise DataError(f"{path}: one user's __ts values cannot be ordered: {exc}") from None
-    return records
+    return columns.take(order)
 
 
 def prepare_datasets(cfg: RunConfig):
@@ -306,8 +320,8 @@ def prepare_datasets(cfg: RunConfig):
     else:
         if not ds["path"] or not ds["fields"]:
             raise DataError("dataset.path and dataset.fields are required for kind=generic")
-        records = ingest_generic(ds["path"])
         fields = ds["fields"]
+        records = ingest_generic(ds["path"], fields)
     return d.split(_encode_records(records, fields, ds["ratios"], ds["t_max"]), ds["ratios"])
 
 
@@ -543,10 +557,10 @@ def gradcheck(config_path, overrides):
     spec = syn.SynthSpec(n_users=12, n_fields=3, vocab_size=3,
                          len_min=2, len_max=6, t_max=5)
     ds = syn.synth_generate(spec, seed=23)
-    multi = [s for s in ds.sequences if len(s.history_positions()) >= 3]
-    single = next(s for s in ds.sequences if len(s.history_positions()) == 1)
-    zero = next(s for s in ds.sequences if not s.history_positions())
-    probe = [multi[0], multi[1], single, zero]
+    history = np.count_nonzero(ds.store.rows[:, :-1], axis=1)  # real events before the last
+    multi = np.flatnonzero(history >= 3)
+    probe = ds.store.take([multi[0], multi[1], np.argmax(history == 1),
+                           np.argmax(history == 0)]).views()
     report = tr.grad_check_mode(probe, ds.schema.n, cfg.gradcheck_model,
                                 seed=cfg.gradcheck_seed)
     for line in report.lines():

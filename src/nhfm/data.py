@@ -1,15 +1,19 @@
 """Feature schema, sparse event encoding, and the event store of windows.
 
-A raw record is a flat ``{field: value}`` mapping plus the meta keys
-``__user``, ``__ts`` and ``__label``. Fitting a schema assigns every
+A raw record holds a value per field plus the meta values ``__user``,
+``__ts`` and ``__label``. Records are held as :class:`Columns`: one
+:class:`Column` per field, each record's value a position in the field's
+table of distinct values, and user and label arrays, so no object is kept
+per record; the raw readers build them directly, and ``{field: value}``
+mappings convert through :meth:`Columns.of`. Fitting a schema assigns every
 categorical token (plus one out-of-vocabulary slot per field) and every
 numerical field a global feature index; encoding turns records into sparse
 events; assembly windows each user's chronological events into padded,
 right-aligned windows whose last slot is the prediction event.
 
-Records are fit and encoded a column at a time: one field's values across
-all records become one array of feature indices and one of values, with
-no object per event. Windows slide over a user's events, so consecutive
+Records are fit and encoded a column at a time: one field's column becomes
+one array of feature indices and one of values, with no object per event.
+Windows slide over a user's events, so consecutive
 windows repeat most of their events. An :class:`EventStore` therefore
 holds each distinct event of a user once, as one row of dense arrays, and
 each window as ``t_max`` row references; training, scoring and the file
@@ -25,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -304,30 +308,125 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# schema fitting and encoding
+# raw records as columns, schema fitting and encoding
 
 
-def _number(name: str, value) -> float:
-    """A numerical field's value as a finite float, else ``DataError``."""
+# Column and Columns are plain classes: a dataclass costs about a millisecond
+# at import, which every command pays.
+class Column:
+    """One field's value in each record, factorized: record r holds
+    ``values[code[r]]``, or no value (the field is missing or null) where
+    ``code[r]`` is -1. Categorical values are tokens, the ``str`` of what
+    was given. Numerical values are floats, NaN where what was given is not
+    a finite number; ``given`` keeps that value, by position, for the error
+    that encoding it raises."""
+
+    __slots__ = ("code", "values", "given")
+
+    def __init__(self, code: np.ndarray, values: Sequence,
+                 given: Mapping[int, object] | None = None):
+        self.code = code  # (R,) intp positions in ``values``, -1 where there is none
+        self.values = values  # tokens (str), or a float64 array
+        self.given = {} if given is None else given
+
+    def take(self, rows) -> "Column":
+        return Column(self.code[rows], self.values, self.given)
+
+
+class Columns:
+    """Raw records as columns: one :class:`Column` per configured field,
+    and the meta columns: ``user`` holds each record's ``str`` of
+    ``__user`` and ``label`` its ``__label``. ``stray`` holds each record's
+    first key that is neither a configured field nor a meta key, or is
+    ``None`` when no record has one. Schema fitting and encoding read this
+    form; the raw readers build it without an object per record."""
+
+    __slots__ = ("fields", "user", "label", "stray")
+
+    def __init__(self, fields: dict[str, Column], user: Column, label: np.ndarray,
+                 stray: Column | None = None):
+        self.fields = fields
+        self.user = user
+        self.label = label  # (R,) uint8
+        self.stray = stray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def take(self, rows) -> "Columns":
+        """The records at ``rows`` (positions or a mask), in that order."""
+        return Columns({name: c.take(rows) for name, c in self.fields.items()},
+                       self.user.take(rows), self.label[rows],
+                       None if self.stray is None else self.stray.take(rows))
+
+    @classmethod
+    def of(cls, records: Iterable[Mapping], field_config: Mapping[str, str]) -> "Columns":
+        """The columns of ``records``, read once, one record at a time, so
+        that an iterator's records can be dropped as they are read. A record
+        without ``__user`` has the user ``"None"``, and one whose ``__label``
+        is not 1 has the label 0."""
+        from array import array  # loaded on first use, not at import
+        known = set(field_config).union(META_KEYS)
+        names = list(field_config)
+        numerical = [field_config[name] == NUMERICAL for name in names]
+        codes = [array("q") for _ in names]
+        tables: list[dict] = [{} for _ in names]  # token -> position, in first-seen order
+        numbers = [array("d") for _ in names]
+        given: list[dict] = [{} for _ in names]
+        user, users = array("q"), {}
+        label = array("B")
+        stray, strays = array("q"), {}
+        for rec in records:
+            user.append(users.setdefault(str(rec.get("__user")), len(users)))
+            label.append(rec.get("__label") == 1)
+            stray.append(-1 if known.issuperset(rec) else strays.setdefault(
+                next(k for k in rec if k not in known), len(strays)))
+            for name, is_number, code, table, number, bad in zip(
+                    names, numerical, codes, tables, numbers, given):
+                value = rec.get(name)
+                if value is None:
+                    code.append(-1)
+                elif not is_number:
+                    code.append(table.setdefault(str(value), len(table)))
+                else:
+                    x = _finite(value)
+                    if x != x:  # NaN
+                        bad[len(number)] = value
+                    code.append(len(number))
+                    number.append(x)
+        fields = {name: Column(np.array(code, dtype=np.intp),
+                               np.array(number) if is_number else list(table), bad)
+                  for name, is_number, code, table, number, bad in zip(
+                      names, numerical, codes, tables, numbers, given)}
+        return cls(fields, Column(np.array(user, dtype=np.intp), list(users)),
+                   np.array(label, dtype=np.uint8),
+                   Column(np.array(stray, dtype=np.intp), list(strays)) if strays else None)
+
+
+def _finite(value) -> float:
+    """``float(value)``, or NaN where that fails or is not finite."""
     try:
-        v = float(value)
+        x = float(value)
     except (TypeError, ValueError, OverflowError):
-        v = math.nan
-    if not math.isfinite(v):
+        return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
+def _numbers(name: str, column: Column, code: np.ndarray) -> np.ndarray:
+    """The numerical values at ``code``; the first that is not a finite
+    number is a ``DataError``."""
+    x = column.values[code]
+    bad = np.isnan(x)
+    if bad.any():
+        value = column.given[int(code[bad.argmax()])]
         raise DataError(f"field {name!r}: numerical value {value!r} is not a finite number")
-    return v
+    return x
 
 
-def _present(records: Sequence[Mapping], name: str) -> tuple[list[bool], list]:
-    """Which records give field ``name`` a value other than ``None``, and
-    those values in record order."""
-    column = [rec.get(name) for rec in records]
-    has = [v is not None for v in column]
-    return has, list(compress(column, has))
-
-
-def fit_schema(records: Iterable[Mapping], field_config: Mapping[str, str]) -> FeatureSchema:
-    """Build vocabularies and numerical stats from training records.
+def fit_schema(records: Columns | Iterable[Mapping], field_config: Mapping[str, str]
+               ) -> FeatureSchema:
+    """Build vocabularies and numerical stats from training records, given
+    as :class:`Columns` or as ``{field: value}`` mappings.
 
     ``field_config`` maps field name -> kind, in the order indices should
     be assigned; tokens are numbered in first-seen order. Records carrying
@@ -336,28 +435,32 @@ def fit_schema(records: Iterable[Mapping], field_config: Mapping[str, str]) -> F
     for name, kind in field_config.items():
         if kind not in (CATEGORICAL, NUMERICAL):
             raise DataError(f"field {name!r}: unknown kind {kind!r}")
-    records = list(records)
-    known = set(field_config).union(META_KEYS)
-    if not known.issuperset(chain.from_iterable(records)):
-        key = next(k for rec in records for k in rec if k not in known)
-        raise DataError(f"record field {key!r} is missing from the field config")
-    if not records:
+    columns = records if isinstance(records, Columns) else Columns.of(records, field_config)
+    stray = () if columns.stray is None else columns.stray.code[columns.stray.code >= 0]
+    if len(stray):
+        raise DataError(f"record field {columns.stray.values[stray[0]]!r} "
+                        "is missing from the field config")
+    if not len(columns):
         raise DataError("cannot fit a schema on zero records")
 
     fields = []
     for name, kind in field_config.items():
-        values = [] if name in META_KEYS else _present(records, name)[1]
+        column = columns.fields[name]
+        code = column.code[column.code >= 0] if name not in META_KEYS else column.code[:0]
         if kind == CATEGORICAL:
-            tokens = dict.fromkeys(map(str, values))  # first-seen order
-            fields.append(FieldSpec(name, kind, {t: i for i, t in enumerate(tokens)}))
+            _, first = np.unique(code, return_index=True)
+            tokens = dict.fromkeys(map(column.values.__getitem__, code[np.sort(first)].tolist()))
+            fields.append(FieldSpec(name, kind, dict(zip(tokens, range(len(tokens))))))
+        elif len(code):
+            x = _numbers(name, column, code)
+            # argmin and argmax keep the first of equal extremes (0.0, -0.0), as min() and max() do
+            fields.append(FieldSpec(name, kind, stats=(float(x[x.argmin()]), float(x[x.argmax()]))))
         else:
-            numbers = [_number(name, v) for v in values]
-            lo = min(numbers, default=0.0)
-            fields.append(FieldSpec(name, kind, stats=(lo, max(numbers, default=lo))))
+            fields.append(FieldSpec(name, kind, stats=(0.0, 0.0)))
     return FeatureSchema(fields)
 
 
-def _encode(records: Sequence[Mapping], schema: FeatureSchema
+def _encode(columns: Columns, schema: FeatureSchema
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every record's entries, as :func:`encode_event` gives them, in
     ``(R, fields)`` index and value arrays and ``(R,)`` counts, encoded a
@@ -365,23 +468,24 @@ def _encode(records: Sequence[Mapping], schema: FeatureSchema
     order, so a record's entries are ascending once they are left-aligned
     past its missing fields; the rest of the row holds index 0 and value 0.
     """
-    shape = (len(schema.fields), len(records))  # one row per field until the transpose
+    shape = (len(schema.fields), len(columns))  # one row per field until the transpose
     idx = np.zeros(shape, dtype=np.int32)
     val = np.zeros(shape)
     present = np.zeros(shape, dtype=bool)
     for f, f_idx, f_val, has in zip(schema.fields, idx, val, present):
-        flags, values = _present(records, f.name)
-        has[:] = np.fromiter(flags, dtype=bool, count=len(flags))
+        column = columns.fields[f.name]
+        np.greater_equal(column.code, 0, out=has)
+        code = column.code[has]
         base = schema.field_base(f.name)
         if f.kind == CATEGORICAL:
-            lookup, oov = f.vocab.get, len(f.vocab)  # unseen -> OOV
-            f_idx[has] = base + np.fromiter([lookup(t, oov) for t in map(str, values)],
-                                            dtype=np.int64, count=len(values))
+            oov = len(f.vocab)  # unseen -> OOV
+            lookup = np.fromiter(map(f.vocab.get, column.values, repeat(oov)),
+                                 dtype=np.intp, count=len(column.values))
+            f_idx[has] = base + lookup[code]
             f_val[has] = 1.0
             continue
         lo, hi = f.stats
-        x = np.fromiter([_number(f.name, v) for v in values], dtype=np.float64,
-                        count=len(values))
+        x = _numbers(f.name, column, code)
         with np.errstate(over="ignore", invalid="ignore"):
             x = (x - lo) / (hi - lo) if hi > lo else np.zeros_like(x)
         x = np.where(x > 0.0, x, 0.0)  # min(1.0, max(0.0, x)), NaN and -0.0 to 0.0
@@ -403,7 +507,8 @@ def encode_event(record: Mapping, schema: FeatureSchema) -> Event:
     numerical values are min-max normalized into [0, 1] and clamped; a
     missing or ``None`` field contributes no entry.
     """
-    idx, val, count = _encode([record], schema)
+    columns = Columns.of([record], {f.name: f.kind for f in schema.fields})
+    idx, val, count = _encode(columns, schema)
     c = int(count[0])
     return Event(tuple(zip(idx[0, :c].tolist(), val[0, :c].tolist())))
 
@@ -438,28 +543,30 @@ def assemble_sequences(user_events: Mapping[str, Sequence[tuple[Event, int]]],
                     [int(label) for _, label in pairs], [user for user, _ in streams], t_max)
 
 
-def user_positions(records: Sequence[Mapping]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Each record's position among the users of ``records``, which are
-    the ``str`` of ``__user`` in order of first record, and those users.
-    One user's records must be contiguous."""
-    users: dict[str, int] = {}
-    owner = np.fromiter((users.setdefault(str(rec["__user"]), len(users)) for rec in records),
-                        dtype=np.int32, count=len(records))
-    back = np.flatnonzero(owner[1:] < owner[:-1])
-    if len(back):
-        user = list(users)[owner[back[0] + 1]]
-        raise DataError(f"the records of user {user!r} are not contiguous")
-    return owner, tuple(users)
+def user_positions(columns: Columns) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each record's position among the users of ``columns``, numbered in
+    order of first record, and those users. One user's records must be
+    contiguous."""
+    code = columns.user.code
+    start = np.flatnonzero(np.diff(code, prepend=-1))  # each run of one user's records
+    runs = code[start]
+    _, first = np.unique(runs, return_index=True)
+    if len(first) < len(runs):
+        again = np.ones(len(runs), dtype=bool)
+        again[first] = False
+        raise DataError(f"the records of user {columns.user.values[runs[again.argmax()]]!r} "
+                        "are not contiguous")
+    owner = np.repeat(np.arange(len(runs), dtype=np.int32), np.diff(start, append=len(code)))
+    return owner, tuple(columns.user.values[u] for u in runs.tolist())
 
 
-def encode_windows(records: Sequence[Mapping], schema: FeatureSchema, t_max: int) -> EventStore:
+def encode_windows(columns: Columns, schema: FeatureSchema, t_max: int) -> EventStore:
     """Encode records, grouped by user and in time order within each user,
     and slide a window over each user's events, as
     :func:`assemble_sequences` does over encoded streams; ``__label`` is
     each window's label."""
-    owner, users = user_positions(records)
-    label = np.array([int(rec["__label"]) for rec in records], dtype=np.uint8)
-    return _windows(*_encode(records, schema), owner, label, users, t_max)
+    owner, users = user_positions(columns)
+    return _windows(*_encode(columns, schema), owner, columns.label, users, t_max)
 
 
 def _event_arrays(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

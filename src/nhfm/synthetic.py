@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CATEGORICAL, Dataset, EventSequence, FeatureSchema, FieldSpec,
-                   encode_windows)
+from .data import (CATEGORICAL, Column, Columns, Dataset, EventSequence, FeatureSchema,
+                   FieldSpec, encode_windows)
 from .errors import DataError
 
 
@@ -85,7 +85,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     schema = synth_schema(spec)
     tf = spec.trigger_field
 
-    records: list[dict] = []
+    blocks, labels = [], []
     for u in range(spec.n_users):
         length = int(rng.integers(spec.len_min, spec.len_max + 1))
         tokens = rng.integers(0, spec.vocab_size, size=(length, spec.n_fields))
@@ -107,10 +107,17 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
                 label = int(fires)
             else:
                 label = int(rng.random() < spec.base_rate)
-            records.append({"__user": f"u{u}", "__label": label,
-                            **{f"f{k}": f"t{tokens[j, k]}" for k in range(spec.n_fields)}})
+            labels.append(label)
+        blocks.append(tokens)
 
-    return Dataset(schema, store=encode_windows(records, schema, spec.t_max))
+    # token j of every field is f"t{j}", so a token's code is j
+    code = np.concatenate(blocks).astype(np.intp)
+    names = [f"t{j}" for j in range(spec.vocab_size)]
+    user = np.repeat(np.arange(spec.n_users, dtype=np.intp), [len(b) for b in blocks])
+    columns = Columns({f"f{k}": Column(code[:, k], names) for k in range(spec.n_fields)},
+                      Column(user, [f"u{u}" for u in range(spec.n_users)]),
+                      np.array(labels, dtype=np.uint8))
+    return Dataset(schema, store=encode_windows(columns, schema, spec.t_max))
 
 
 def rule_fires(seq: EventSequence, schema: FeatureSchema,
@@ -132,6 +139,15 @@ def rule_fires(seq: EventSequence, schema: FeatureSchema,
 
 def rule_oracle_scores(dataset: Dataset, spec: SynthSpec) -> list[float]:
     """Score every sequence by the rule itself (the Bayes-optimal scorer
-    when rule_strength is 1)."""
-    return [1.0 if rule_fires(s, dataset.schema, spec)[0] else 0.0
-            for s in dataset.sequences]
+    when rule_strength is 1), as :func:`rule_fires` reads each window,
+    from the store's arrays."""
+    store = dataset.store
+    base = dataset.schema.field_base(f"f{spec.trigger_field}")
+    real = np.arange(store.idx.shape[1]) < store.count[:, None]  # row 0, the padding, has none
+
+    def carries(token: int) -> np.ndarray:  # per row
+        return ((store.idx == base + token) & real).any(axis=1)
+
+    fires = (carries(spec.current_token)[store.rows[:, -1]]
+             & carries(spec.history_token)[store.rows[:, :-1]].any(axis=1))
+    return fires.astype(np.float64).tolist()

@@ -2,13 +2,24 @@
 columnar path in ``nhfm.data`` replaced, kept as an oracle: one ``Event``
 per record, hashed to find a user's equal events, then flattened."""
 
+import math
 from itertools import chain
 
 import numpy as np
 
 from nhfm.data import (CATEGORICAL, META_KEYS, NUMERICAL, PADDING_EVENT, Event,
-                       EventStore, FeatureSchema, FieldSpec, _number)
+                       EventStore, FeatureSchema, FieldSpec)
 from nhfm.errors import DataError
+
+
+def _number(name, value) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise DataError(f"field {name!r}: numerical value {value!r} is not a finite number")
+    return v
 
 
 def fit_schema(records, field_config) -> FeatureSchema:

@@ -219,21 +219,17 @@ def test_criterion_6_movielens_table_statistics():
     if root is None:
         pytest.skip("MovieLens-1M files not present; set NHFM_ML1M_DIR to "
                     "a directory with ratings.dat/users.dat/movies.dat")
-    records = ml.ingest_movielens(root / "ratings.dat", root / "users.dat",
+    columns = ml.ingest_movielens(root / "ratings.dat", root / "users.dat",
                                   root / "movies.dat")
-    assert len(records) == 1_000_209
-    positives = sum(r["__label"] for r in records)
-    negatives = len(records) - positives
+    assert len(columns) == 1_000_209
+    positives = int(columns.label.sum())
+    negatives = len(columns) - positives
     assert abs(positives - 575_000) < 10_000
     assert abs(negatives - 425_000) < 10_000
     assert len(ml.MOVIELENS_FIELDS) == 9
 
-    schema = d.fit_schema(records, ml.MOVIELENS_FIELDS)
-    streams = {}
-    for rec in records:
-        streams.setdefault(rec["__user"], []).append(
-            (d.encode_event(rec, schema), rec["__label"]))
-    sequences = d.assemble_sequences(streams, t_max=10)
+    schema = d.fit_schema(columns, ml.MOVIELENS_FIELDS)
+    sequences = d.encode_windows(columns, schema, t_max=10)
     assert len(sequences) == 1_000_209  # exactly one sequence per event
     _report(6, f"{positives} pos / {negatives} neg / 9 fields / "
                f"{len(sequences)} events")

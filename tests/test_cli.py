@@ -320,18 +320,18 @@ class TestGenericJsonl:
     def test_label_other_than_0_or_1_names_the_line(self, tmp_path, label):
         path = self.write(tmp_path, self.line(), self.line(ts=1, label=label))
         with pytest.raises(DataError, match=re.escape(f"{path}:2: __label must be 0 or 1")):
-            ingest_generic(path)
+            ingest_generic(path, {"color": "categorical"})
 
     def test_mixed_timestamp_types_name_the_file(self, tmp_path):
         path = self.write(tmp_path, self.line(ts=1), self.line(ts="2024-01-02"))
         with pytest.raises(DataError, match=re.escape(f"{path}: one user's __ts values")):
-            ingest_generic(path)
+            ingest_generic(path, {"color": "categorical"})
 
     def test_record_that_is_not_an_object_names_the_line(self, tmp_path):
         path = self.write(tmp_path, self.line(), "5")
         with pytest.raises(DataError,
                            match=re.escape(f"{path}:2: a record must be a JSON object")):
-            ingest_generic(path)
+            ingest_generic(path, {"color": "categorical"})
 
     @pytest.mark.parametrize("value", ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000],
                              ids=["integer-over-the-digit-limit", "nested-100k-deep"])
@@ -339,7 +339,7 @@ class TestGenericJsonl:
         huge = self.line(ts=1)[:-1] + ', "b": ' + value + "}"
         path = self.write(tmp_path, self.line(), huge)
         with pytest.raises(DataError, match=re.escape(f"{path}:2: bad record: ")):
-            ingest_generic(path)
+            ingest_generic(path, {"color": "categorical"})
         cfg = {"dataset": {"kind": "generic", "t_max": 3, "path": str(path),
                            "fields": {"color": "categorical", "b": "numerical"}},
                "out_dir": str(tmp_path / "run")}
@@ -437,6 +437,18 @@ class TestGradcheckCommand:
         printed = capsys.readouterr().out
         assert "gradient check passed" in printed
         assert "worst:" in printed
+
+    def test_decodes_only_the_windows_it_checks(self, monkeypatch, capsys):
+        views = d.EventStore.views
+
+        def four_windows(store):
+            if len(store) > 4:
+                raise AssertionError(f"decoded {len(store)} windows")
+            return views(store)
+
+        monkeypatch.setattr(d.EventStore, "views", four_windows)
+        assert run_cli("gradcheck") == 0
+        assert "gradient check passed" in capsys.readouterr().out
 
     def test_checks_the_batched_backward(self, monkeypatch, capsys):
         true_backward = m._mlp_backward

@@ -244,6 +244,20 @@ class TestSyntheticGenerator:
         labels = [s.label for s in ds.sequences]
         assert all(sc == float(lb) for sc, lb in zip(scores, labels))
 
+    @pytest.mark.parametrize("strength, seed", [(1.0, 2), (0.5, 4), (0.0, 3)])
+    def test_rule_oracle_scores_read_the_store_as_rule_fires_reads_windows(
+            self, monkeypatch, strength, seed):
+        spec = syn.SynthSpec(n_users=40, t_max=4, rule_strength=strength, trigger_field=1,
+                             current_token=2, history_token=0)
+        ds = syn.synth_generate(spec, seed=seed)
+        want = [float(syn.rule_fires(s, ds.schema, spec)[0]) for s in ds.sequences]
+
+        def refuse(store):
+            raise AssertionError("decoded EventSequence objects")
+        monkeypatch.setattr(d.EventStore, "views", refuse)
+        got = syn.rule_oracle_scores(d.Dataset(ds.schema, store=ds.store), spec)
+        assert got == want and 0.0 < sum(got) < len(got)
+
     def test_strength_zero_labels_present_both_classes(self):
         spec = syn.SynthSpec(n_users=50, rule_strength=0.0)
         ds = syn.synth_generate(spec, seed=3)

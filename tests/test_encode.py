@@ -70,7 +70,7 @@ def _assert_same_store(got, want):
 def test_columnar_store_matches_the_per_record_oracle(case, t_max, ratios):
     fields, records = case
     want_schema, want = oracle.encode_records(records, fields, ratios, t_max, d.split_counts)
-    got = _encode_records(records, fields, ratios, t_max)
+    got = _encode_records(d.Columns.of(records, fields), fields, ratios, t_max)
     assert got.schema.to_json() == want_schema.to_json()
     _assert_same_store(got.store, want)
     # the adapters give what the oracle gives, one record and one stream at a time
@@ -102,7 +102,7 @@ def _user(*bodies):
 ])
 def test_edge_values_match_the_oracle(fields, records):
     want_schema, want = oracle.encode_records(records, fields, (0.6, 0.2, 0.2), 3, d.split_counts)
-    got = _encode_records(records, fields, (0.6, 0.2, 0.2), 3)
+    got = _encode_records(d.Columns.of(records, fields), fields, (0.6, 0.2, 0.2), 3)
     assert got.schema.to_json() == want_schema.to_json()
     _assert_same_store(got.store, want)
 
@@ -117,14 +117,15 @@ def test_a_bad_numerical_value_gives_the_oracle_message(bad):
         with pytest.raises(DataError) as want:
             oracle.encode_records(case, fields, (0.6, 0.2, 0.2), 3, d.split_counts)
         with pytest.raises(DataError, match=re.escape(str(want.value))):
-            _encode_records(case, fields, (0.6, 0.2, 0.2), 3)
+            _encode_records(d.Columns.of(case, fields), fields, (0.6, 0.2, 0.2), 3)
 
 
 def test_records_of_one_user_must_be_contiguous():
     records = [{"__user": u, "__label": 0, "c": "a"} for u in ("x", "y", "x")]
-    schema = d.fit_schema(records, {"c": d.CATEGORICAL})
+    columns = d.Columns.of(records, {"c": d.CATEGORICAL})
+    schema = d.fit_schema(columns, {"c": d.CATEGORICAL})
     with pytest.raises(DataError, match="records of user 'x' are not contiguous"):
-        d.encode_windows(records, schema, 3)
+        d.encode_windows(columns, schema, 3)
 
 
 def _movielens_files(root):
