@@ -292,14 +292,9 @@ def ingest_generic(path, field_config: dict) -> d.Columns:
         columns = d.Columns.of(records(fh), field_config)
     if not len(columns):
         raise DataError(f"{path}: no records")
-    # users ranked by their str, so comparing two keys compares what
-    # (str(__user), __ts) compares, in the same order, and fails alike
-    users = columns.user.values
-    rank = np.empty(len(users), dtype=np.intp)
-    rank[sorted(range(len(users)), key=users.__getitem__)] = np.arange(len(users))
-    keys = list(zip(rank[columns.user.code].tolist(), stamps))
+    users, code = columns.user.values, columns.user.code.tolist()
     try:
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order = sorted(range(len(stamps)), key=lambda i: (users[code[i]], stamps[i]))
     except TypeError as exc:
         raise DataError(f"{path}: one user's __ts values cannot be ordered: {exc}") from None
     return columns.take(order)

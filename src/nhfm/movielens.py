@@ -13,6 +13,7 @@ line malformed.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,8 @@ MOVIELENS_FIELDS: dict[str, str] = {
 
 POSITIVE_RATING_THRESHOLD = 4
 
-# what ``str.isspace`` and the ``\s`` of a str pattern match among Latin-1 bytes
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160]] = True
+# a release year is four digits in parentheses at the end of the title
+_YEAR_RE = re.compile(r"\((\d{4})\)\s*$")
 # UTC seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59, the range
 # that ``datetime`` represents
 _TS_RANGE = (-62_135_596_800, 253_402_300_799)
@@ -107,23 +107,6 @@ def _strings(table: _Table, rows: np.ndarray, field: int, width=None, empty: str
         for i in np.flatnonzero(end == start).tolist():
             out[i] = empty
     return out
-
-
-def _years(table: _Table, rows: np.ndarray, field: int) -> np.ndarray:
-    r"""The year that ``re.search(r"\((\d{4})\)\s*$", title)`` finds in
-    each title, else NaN."""
-    b, raw = table.b, table.raw
-    start, end = table.start[rows, field], table.end[rows, field].copy()
-    for i in np.flatnonzero((end > start) & _SPACE[b[end - 1]]).tolist():
-        end[i] = start[i] + len(raw[start[i]:end[i]].decode("latin-1").rstrip())
-    dated = end - start >= 6
-    dated[dated] &= (b[end[dated] - 1] == 41) & (b[end[dated] - 6] == 40)  # ")" and "("
-    year = np.zeros(len(start))
-    for k in range(5, 1, -1):
-        d = b[np.maximum(end - k, 0)].astype(np.int64) - 48
-        dated &= (0 <= d) & (d <= 9)
-        year = year * 10 + d
-    return np.where(dated, year, np.nan)
 
 
 def _keys(b: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> np.ndarray:
@@ -228,7 +211,8 @@ def ingest_movielens(ratings_path, users_path, movies_path,
     order = np.lexsort((ts, rank[user]))
     user, rating, ts = user[order], rating[order], ts[order]
     movie_rows, movie = np.unique(movie[order], return_inverse=True)
-    year = _years(movies, movie_rows, 1)
+    year = np.array([float(m.group(1)) if (m := _YEAR_RE.search(t)) else np.nan
+                     for t in _strings(movies, movie_rows, 1)])
 
     # multi-valued genre strings reduce to the first genre, zip codes to
     # their first character; an empty one is "?"

@@ -1,11 +1,11 @@
 """Ingest rehearsal: time ``nhfm preprocess`` on generated MovieLens files.
 
     python3 tools/rehearse_ingest.py --users 1400
-    python3 tools/rehearse_ingest.py --users 14000 --seed 2
+    python3 tools/rehearse_ingest.py --users 14000
 
-Writes MovieLens-format files with ``benchmarks/gen.py`` into a temporary
-directory, runs ``nhfm preprocess`` on them in a child process whose
-address space is capped (``--limit-gb``, 5 by default) and prints one JSON
+Writes MovieLens-format files with ``benchmarks/gen.py`` (seed 1) into a
+temporary directory, runs ``nhfm preprocess`` on them in a child process
+whose address space is capped at 5 GiB and prints one JSON
 line: the child's wall seconds, CPU seconds and peak RSS, the ratings
 written, and its exit code. ``--users 14000`` gives about 1M ratings, the
 size of ML-1M. Run it from the repository root; it is not part of the
@@ -25,24 +25,22 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LIMIT = 5 * 2**30  # address-space cap of the preprocess child, in bytes
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--users", type=int, required=True)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--limit-gb", type=float, default=5.0)
     args = ap.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    limit = int(args.limit_gb * 2**30)
 
     def cap():  # runs in the child only, before it starts Python
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         subprocess.run([sys.executable, str(ROOT / "benchmarks" / "gen.py"), "movielens",
-                        "--seed", str(args.seed), "--users", str(args.users),
+                        "--seed", "1", "--users", str(args.users),
                         "--out", str(work)], check=True, stdout=subprocess.DEVNULL, env=env)
         ratings = json.loads((work / "truth.json").read_text(encoding="utf-8"))["ratings"]
         t0 = time.perf_counter()
