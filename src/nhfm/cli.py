@@ -98,7 +98,6 @@ CONFIG_TABLE: dict = {
     "seeds": _key(list[int], [1, 2, 3, 4, 5]),
     "out_dir": _key(str, "runs/default"),
     "fpr_ceiling": _key(float, 0.01),
-    "gradcheck": {"k": _key(int, 2), "h": _key(int, 2), "seed": _key(int, 8)},
 }
 
 
@@ -110,7 +109,7 @@ def _defaults(table: dict) -> dict:
 
 DEFAULT_CONFIG: dict = _defaults(CONFIG_TABLE)
 
-_LABELS = {"model": "model config", "train": "train config", "gradcheck": "gradcheck config"}
+_LABELS = {"model": "model config", "train": "train config"}
 
 
 def _invalid(key: str, message: str) -> DataError:
@@ -180,21 +179,19 @@ def _apply_override(cfg: dict, dotted: str) -> None:
 class RunConfig:
     """Effective configuration: file contents over defaults, then overrides.
 
-    Every value is checked against ``CONFIG_TABLE`` and the model, train,
-    synthetic-data and gradient-check configs are built here, once, so a bad
-    value is a ``DataError`` before any command starts work.
+    Every value is checked against ``CONFIG_TABLE`` and the model, train and
+    synthetic-data configs are built here, once, so a bad value is a
+    ``DataError`` before any command starts work.
     """
 
     def __init__(self, raw: dict, source_text: str | None = None):
         self.raw, self.source_text = raw, source_text
         c = _checked(raw, CONFIG_TABLE)
         self.dataset = ds = c["dataset"]
-        gc = c["gradcheck"]
         self.seeds = seeds = c["seeds"]
         if not seeds or len(set(seeds)) != len(seeds):
             raise _invalid("seeds", f"seeds must be non-empty and distinct, got {seeds}")
-        for key, values in (("seeds", seeds), ("dataset.synth_seed", [ds["synth_seed"]]),
-                            ("gradcheck.seed", [gc["seed"]])):
+        for key, values in (("seeds", seeds), ("dataset.synth_seed", [ds["synth_seed"]])):
             if min(values) < 0:
                 raise _invalid(key, f"a seed must be >= 0, got {min(values)} in {key}")
         self.fpr_ceiling = c["fpr_ceiling"]
@@ -207,9 +204,6 @@ class RunConfig:
         self.out_dir = Path(c["out_dir"])
         self._model = _built("model", ModelConfig, c["model"], t_max=ds["t_max"])
         self._train = _built("train", tr.TrainConfig, c["train"], seed=seeds[0])
-        self.gradcheck_model = _built("gradcheck", ModelConfig, {"k": gc["k"], "h": gc["h"]},
-                                      variant="full", mlp_widths=(3, 1), t_max=5)
-        self.gradcheck_seed = gc["seed"]
         self.synth = syn.SynthSpec(**ds["synth"], t_max=ds["t_max"])
         if ds["kind"] == "synthetic":
             self.synth.validate()
@@ -453,8 +447,9 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
         seed_dir.mkdir(parents=True, exist_ok=True)
         (seed_dir / "train_log.txt").write_text("\n".join(log_lines) + "\n",
                                                 encoding="utf-8")
+        # no optimizer state: it is the last epoch's, not the best's, and nothing resumes
         ck = cp.Checkpoint(
-            model_config, schema.hash(), result.params, result.opt_state,
+            model_config, schema.hash(), result.params, None,
             metadata={
                 "seed": seed,
                 "best_epoch": result.best_epoch,
@@ -543,21 +538,25 @@ def eval_cmd(config_path, out_dir, overrides, split_tag, baseline_dir, fpr_ceili
     click.echo(text, nl=False)
 
 
+# the gradient check's fixed probe: a full model at tiny dimensions, and its draw
+GRADCHECK_MODEL = ModelConfig(variant="full", k=2, h=2, mlp_widths=(3, 1), t_max=5)
+GRADCHECK_SEED = 8
+
+
 @cli.command()
 @option_config
 @option_set
 def gradcheck(config_path, overrides):
     """Finite-difference check of the full model at tiny dimensions."""
-    cfg = RunConfig.load(config_path, overrides)
+    RunConfig.load(config_path, overrides)  # a bad config is refused, as by every command
     spec = syn.SynthSpec(n_users=12, n_fields=3, vocab_size=3,
                          len_min=2, len_max=6, t_max=5)
     ds = syn.synth_generate(spec, seed=23)
     history = np.count_nonzero(ds.store.rows[:, :-1], axis=1)  # real events before the last
     multi = np.flatnonzero(history >= 3)
-    probe = ds.store.take([multi[0], multi[1], np.argmax(history == 1),
-                           np.argmax(history == 0)]).views()
-    report = tr.grad_check_mode(probe, ds.schema.n, cfg.gradcheck_model,
-                                seed=cfg.gradcheck_seed)
+    probe = [multi[0], multi[1], np.argmax(history == 1), np.argmax(history == 0)]
+    report = tr.grad_check_mode(ds.store, probe, ds.schema.n, GRADCHECK_MODEL,
+                                seed=GRADCHECK_SEED)
     for line in report.lines():
         click.echo(line)
     if not report.passed():
@@ -602,7 +601,7 @@ def explain(config_path, out_dir, overrides, count, n_sequences, seed_flag):
         top = positives[np.argsort(-scores[positives], kind="stable")[:n_sequences]]
         for i in top.tolist():
             pieces.append(ex.render_event_report(
-                ex.attention_report(ck, test.store.take([i]).views()[0], schema)))
+                ex.attention_report(ck, test.store, i, schema)))
 
     text = "\n".join(pieces)
     (out / "explain.txt").write_text(text, encoding="utf-8")

@@ -67,6 +67,7 @@ class FeatureSchema:
             self._base[f.name] = offset
             offset += f.width()
         self.n = offset
+        self._text: str | None = None
         self._digest: bytes | None = None
 
     def field_base(self, name: str) -> int:
@@ -108,20 +109,24 @@ class FeatureSchema:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        """Human-readable schema text (field order, vocab, stats)."""
-        payload = {
-            "format": "nhfm-schema-v1",
-            "fields": [
-                {
-                    "name": f.name,
-                    "kind": f.kind,
-                    "vocab": list(f.vocab.keys()) if f.kind == CATEGORICAL else None,
-                    "stats": list(f.stats) if f.stats is not None else None,
-                }
-                for f in self.fields
-            ],
-        }
-        return json.dumps(payload, indent=2, ensure_ascii=False)
+        """Human-readable schema text (field order, vocab, stats). Like the
+        digest, it is built once: writing the schema and :meth:`hash` both
+        ask for it."""
+        if self._text is None:
+            payload = {
+                "format": "nhfm-schema-v1",
+                "fields": [
+                    {
+                        "name": f.name,
+                        "kind": f.kind,
+                        "vocab": list(f.vocab.keys()) if f.kind == CATEGORICAL else None,
+                        "stats": list(f.stats) if f.stats is not None else None,
+                    }
+                    for f in self.fields
+                ],
+            }
+            self._text = json.dumps(payload, indent=2, ensure_ascii=False)
+        return self._text
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureSchema":

@@ -4,8 +4,8 @@ per-event importance from the attention weights.
 The wide part is linear, so each feature's learned weight reads directly
 as its marginal push toward the positive class; sorting the weights gives
 high-risk and low-risk feature lists. Event importance reuses the
-attention weights the forward pass produced, joined back to the decoded
-event fields.
+attention weights that the forward pass over one window of an event store
+produced, joined back to the fields of the rows those weights fall on.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .data import EventSequence, FeatureSchema, decode_event
-from .model import forward
+from .data import Event, EventStore, FeatureSchema, decode_event
+from .model import window_forward
 
 
 @dataclass(frozen=True)
@@ -74,25 +74,30 @@ def top_wide_features(ck: Checkpoint, schema: FeatureSchema, count: int,
     return FeatureRanking(direction, tuple(entries))
 
 
-def attention_report(ck: Checkpoint, seq: EventSequence,
+def attention_report(ck: Checkpoint, store: EventStore, window: int,
                      schema: FeatureSchema) -> EventImportanceReport:
-    """Attention weights over a sequence's real history events, straight
-    from the forward cache, with decoded event fields and ranks."""
+    """Attention weights over the real history events of the window at
+    position ``window`` of ``store``, straight from the forward cache, with
+    ranks and the fields of only those events decoded."""
     ck.require_schema(schema)
     if not ck.model_config.uses_attention():
         raise ValueError(
             f"variant {ck.model_config.variant!r} has no attention weights; "
             "use a beta or full checkpoint")
-    cache = forward(seq, ck.params, ck.model_config)
+    cache = window_forward(store, window, ck.params, ck.model_config)
     slots = cache.history_slots
     weights = cache.att_weights if cache.att_weights is not None else np.zeros(0)
     ranks = np.empty(len(slots), dtype=int)
     ranks[np.argsort(-weights, kind="mergesort")] = np.arange(1, len(slots) + 1)
-    events = tuple(
-        EventImportance(slot, decode_event(seq.events[slot], schema),
-                        float(weights[i]), int(ranks[i]))
-        for i, slot in enumerate(slots))
-    return EventImportanceReport(seq.user, seq.label, cache.y_hat, events)
+    events = []
+    for i, slot in enumerate(slots):
+        row = store.rows[window, slot]
+        c = store.count[row]
+        event = Event(tuple(zip(store.idx[row, :c].tolist(), store.val[row, :c].tolist())))
+        events.append(EventImportance(slot, decode_event(event, schema),
+                                      float(weights[i]), int(ranks[i])))
+    return EventImportanceReport(store.users[store.user[window]], int(store.label[window]),
+                                 cache.y_hat, tuple(events))
 
 
 def render_feature_ranking(ranking: FeatureRanking) -> str:

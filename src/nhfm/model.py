@@ -27,15 +27,15 @@ layer then runs once per batch:
 
 Windows without history get zero attention and LSTM vectors. Backward
 passes are written by hand per layer; embedding and wide gradients are
-scattered into one dense buffer per batch. Training, scoring,
-:func:`forward`, the gradient check and the attention report all run
-this engine.
+scattered into one dense buffer per batch. Training, scoring, the
+gradient check and the attention report (:func:`window_forward`) all run
+this engine on windows of an event store.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,11 +235,6 @@ def gather(store: EventStore, windows, rows: int | None = None) -> Batch:
     label[:n] = store.label[windows]
     return Batch(store.idx[refs, :width].astype(np.intp), store.val[refs, :width],
                  refs > 0, label)
-
-
-def pack(sequences: Sequence[EventSequence], rows: int | None = None) -> Batch:
-    """:func:`gather` over a store of ``sequences``, which share one t_max."""
-    return gather(EventStore.of(sequences), np.arange(len(sequences)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +486,23 @@ class ForwardCache:
     att_weights: np.ndarray | None
 
 
-def forward(seq: EventSequence, params: Parameters,
-            config: ModelConfig) -> ForwardCache:
-    """Run the engine on one window, as a batch of one.
+def window_forward(store: EventStore, window: int, params: Parameters,
+                   config: ModelConfig) -> ForwardCache:
+    """Run the engine on the window at position ``window`` of ``store``, as
+    a batch of one.
 
     The probability is clamped to the nearest representable values inside
     (0, 1); the loss is taken from the logit, never from it.
     """
-    logit, cache = _forward(pack([seq]), params, config)
-    slots = seq.history_positions()
+    logit, cache = _forward(gather(store, [window]), params, config)
+    slots = np.flatnonzero(store.rows[window, :-1]).tolist()
     weights = None
     if config.uses_attention() and slots:
         weights = cache["att_weights"][0, slots]
     return ForwardCache(float(logit[0]), float(probabilities(logit)[0]),
                         slots, weights)
+
+
+def forward(seq: EventSequence, params: Parameters, config: ModelConfig) -> ForwardCache:
+    """:func:`window_forward` on ``seq`` alone."""
+    return window_forward(EventStore.of([seq]), 0, params, config)

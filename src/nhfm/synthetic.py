@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CATEGORICAL, Column, Columns, Dataset, EventSequence, FeatureSchema,
+from .data import (CATEGORICAL, Column, Columns, Dataset, FeatureSchema,
                    FieldSpec, encode_windows)
 from .errors import DataError
 
@@ -120,27 +120,11 @@ def synth_generate(spec: SynthSpec, seed: int) -> Dataset:
     return Dataset(schema, store=encode_windows(columns, schema, spec.t_max))
 
 
-def rule_fires(seq: EventSequence, schema: FeatureSchema,
-               spec: SynthSpec) -> tuple[bool, list[int]]:
-    """Evaluate the planted rule directly on an encoded sequence.
-
-    Returns whether it fires and the slots of history events carrying the
-    history trigger token. Independent of generator bookkeeping: it reads
-    only the encoded features.
-    """
-    base = schema.field_base(f"f{spec.trigger_field}")
-    current_idx = base + spec.current_token
-    history_idx = base + spec.history_token
-    fires_current = current_idx in seq.current().indices()
-    positions = [t for t in seq.history_positions()
-                 if history_idx in seq.events[t].indices()]
-    return fires_current and bool(positions), positions
-
-
 def rule_oracle_scores(dataset: Dataset, spec: SynthSpec) -> list[float]:
     """Score every sequence by the rule itself (the Bayes-optimal scorer
-    when rule_strength is 1), as :func:`rule_fires` reads each window,
-    from the store's arrays."""
+    when rule_strength is 1), from the store's arrays: 1.0 where the
+    prediction event carries the current trigger token and a real history
+    event carries the history trigger token."""
     store = dataset.store
     base = dataset.schema.field_base(f"f{spec.trigger_field}")
     real = np.arange(store.idx.shape[1]) < store.count[:, None]  # row 0, the padding, has none

@@ -2,9 +2,9 @@
 stopping on validation AUC, gradient verification, and divergence guards.
 
 Training, scoring and the gradient check all run the batched engine of
-:mod:`nhfm.model`: each minibatch is packed into padded arrays and every
-layer runs once per batch with a hand-written backward pass, so
-:func:`grad_check_mode` checks the backward that trains.
+:mod:`nhfm.model`: each minibatch is gathered from an event store into
+padded arrays and every layer runs once per batch with a hand-written
+backward pass, so :func:`grad_check_mode` checks the backward that trains.
 """
 
 from __future__ import annotations
@@ -12,16 +12,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from . import metrics as mt
-from .data import Dataset, EventSequence
+from .data import Dataset, EventSequence, EventStore
 from .errors import DataError, NumericalError
 from .model import (ModelConfig, Parameters, gather, init_parameters, logits,
-                    loss_and_grads, pack, random_parameters, scores)
+                    loss_and_grads, random_parameters, scores)
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
@@ -70,7 +70,7 @@ def example_loss_and_grads(seq: EventSequence, params: Parameters,
                            ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward + backward for one sequence, as a batch of one; gradients
     keyed by parameter name."""
-    return loss_and_grads(pack([seq]), params, config, pos_weight)
+    return loss_and_grads(gather(EventStore.of([seq]), [0]), params, config, pos_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +302,27 @@ class GradCheckReport:
         return out
 
 
-def grad_check_mode(sequences: Sequence[EventSequence], n: int,
+def grad_check_mode(store: EventStore, windows, n: int,
                     model_config: ModelConfig, seed: int = 0,
                     eps: float = 1e-5, tolerance: float = 1e-4
                     ) -> GradCheckReport:
-    """Finite-difference check of the summed loss of ``sequences``, packed
-    as one batch, against the batched backward pass that trains.
+    """Finite-difference check of the summed loss of the windows at
+    positions ``windows`` of ``store``, gathered as one batch, against the
+    batched backward pass that trains; ``n`` is the schema's feature count.
 
     Parameters are drawn at O(1) scale (see ``random_parameters``) so ReLU
     and softmax paths are exercised away from non-differentiable points.
     """
     params = random_parameters(model_config, n, seed)
-    batch = pack(sequences)
+    batch = gather(store, windows)
 
     def total_loss(arrays: Mapping[str, np.ndarray]) -> float:
         zs = logits(batch, Parameters(dict(arrays)), model_config)
-        return sum(nll_loss(z, s.label) for z, s in zip(zs, sequences))
+        return sum(nll_loss(z, y) for z, y in zip(zs, batch.label))
 
     _, grads = loss_and_grads(batch, params, model_config)
     # loss_and_grads gives the batch mean
-    analytic = {name: g * len(sequences) for name, g in grads.items()}
+    analytic = {name: g * len(windows) for name, g in grads.items()}
 
     report = ad.finite_diff_errors(total_loss, dict(params.items()),
                                    analytic, eps=eps)

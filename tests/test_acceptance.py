@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rule_oracle import rule_fires
 from nhfm import checkpoint as cp
 from nhfm import data as d
 from nhfm import metrics as mt
@@ -79,11 +80,11 @@ def test_criterion_2_full_model_gradient_check():
                          len_min=2, len_max=6, t_max=5)
     ds = syn.synth_generate(spec, seed=23)
     config = m.ModelConfig(variant="full", k=4, h=4, mlp_widths=(8, 1), t_max=5)
-    multi = [s for s in ds.sequences if len(s.history_positions()) >= 3]
-    single = next(s for s in ds.sequences if len(s.history_positions()) == 1)
-    zero = next(s for s in ds.sequences if not s.history_positions())
-    probe = [multi[0], multi[1], single, zero]
-    report = tr.grad_check_mode(probe, ds.schema.n, config, seed=9,
+    # two windows with at least 3 history events, one with 1, one with none
+    history = np.count_nonzero(ds.store.rows[:, :-1], axis=1)
+    multi = np.flatnonzero(history >= 3)
+    probe = [multi[0], multi[1], np.argmax(history == 1), np.argmax(history == 0)]
+    report = tr.grad_check_mode(ds.store, probe, ds.schema.n, config, seed=9,
                                 eps=1e-5, tolerance=1e-4)
     elapsed = time.perf_counter() - started
     assert report.passed(), report.lines()
@@ -180,7 +181,7 @@ def test_criterion_5_planted_rule_learnability():
     for seq in test_ds.sequences:
         if seq.label != 1:
             continue
-        _, trigger_slots = syn.rule_fires(seq, ds.schema, PLANT_SPEC)
+        _, trigger_slots = rule_fires(seq, ds.schema, PLANT_SPEC)
         cache = m.forward(seq, result.params, PLANT_MODEL)
         best_slot = cache.history_slots[int(np.argmax(cache.att_weights))]
         total += 1

@@ -71,7 +71,7 @@ def test_logits_and_gradients_match_the_tape(variant, pos_weight):
     windows[1] = d.EventSequence(windows[1].events, windows[1].q, 1, "u")
     config = m.ModelConfig(variant=variant, k=4, h=3, mlp_widths=(5, 3, 1), t_max=T_MAX)
     params = m.random_parameters(config, N_FEATURES, seed=5)
-    batch = m.pack(windows)
+    batch = po.pack(windows)
 
     tape_logits = np.array([to.forward(s, params, config).logit for s in windows])
     assert np.all(close(m.logits(batch, params, config), tape_logits, 1e-10))
@@ -121,7 +121,7 @@ def test_windows_without_history_slots():
     windows = [random_window(rng, 0, t_max=1) for _ in range(4)]
     config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=1)
     params = m.random_parameters(config, N_FEATURES, seed=6)
-    batch = m.pack(windows)
+    batch = po.pack(windows)
     tape_logits = np.array([to.forward(s, params, config).logit for s in windows])
     assert np.all(close(m.logits(batch, params, config), tape_logits, 1e-10))
     _, grads = m.loss_and_grads(batch, params, config)
@@ -132,7 +132,7 @@ def test_filler_rows_are_empty_and_score_finite():
     windows = window_pool(3, 5)
     config = m.ModelConfig(variant="full", k=4, h=3, mlp_widths=(5, 1), t_max=T_MAX)
     params = m.random_parameters(config, N_FEATURES, seed=2)
-    batch = m.pack(windows, rows=8)
+    batch = m.gather(d.EventStore.of(windows), np.arange(5), rows=8)
     assert not batch.q[5:].any() and not batch.val[5:].any()
     assert np.all(np.isfinite(m.logits(batch, params, config)))
 
@@ -155,11 +155,12 @@ def test_gather_equals_the_list_packer(seed, wide, narrow, filler, data):
     picked = [windows[i] for i in picks]
     rows = len(picked) + filler
     want = po.pack(picked, rows=rows)
-    assert_same_batch(m.pack(picked, rows=rows), want)
+    assert_same_batch(m.gather(d.EventStore.of(picked), np.arange(len(picked)), rows=rows),
+                      want)
     assert_same_batch(m.gather(d.EventStore.of(windows), np.array(picks), rows=rows), want)
-    shuffled = data.draw(st.permutations(range(len(windows))))
-    assert_same_batch(m.pack([windows[i] for i in shuffled]),
-                      po.pack([windows[i] for i in shuffled]))
+    shuffled = [windows[i] for i in data.draw(st.permutations(range(len(windows))))]
+    assert_same_batch(m.gather(d.EventStore.of(shuffled), np.arange(len(shuffled))),
+                      po.pack(shuffled))
 
 
 SCORE_CONFIG = m.ModelConfig(variant="full", k=16, h=16, mlp_widths=(32, 16, 1),
@@ -199,6 +200,6 @@ def test_left_padding_barely_moves_a_logit(picks, extra, variant):
     params = m.random_parameters(config, N_FEATURES, seed=13)
     windows = [SCORE_POOL[i] for i in picks]
     padded = [left_pad(s, extra) for s in windows]
-    short = m.logits(m.pack(windows), params, config)
-    long = m.logits(m.pack(padded), params, config)
+    short = m.logits(po.pack(windows), params, config)
+    long = m.logits(po.pack(padded), params, config)
     assert np.all(close(long, short, 1e-12))

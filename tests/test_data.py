@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rule_oracle import rule_fires
 from nhfm import data as d
 from nhfm import dataset_io as dio
 from nhfm import synthetic as syn
@@ -234,7 +235,7 @@ class TestSyntheticGenerator:
         assert any(s.label == 1 for s in ds.sequences)
         assert any(s.label == 0 for s in ds.sequences)
         for s in ds.sequences:
-            fires, _ = syn.rule_fires(s, ds.schema, spec)
+            fires, _ = rule_fires(s, ds.schema, spec)
             assert s.label == int(fires)
 
     def test_rule_oracle_separates_classes_perfectly(self):
@@ -250,7 +251,7 @@ class TestSyntheticGenerator:
         spec = syn.SynthSpec(n_users=40, t_max=4, rule_strength=strength, trigger_field=1,
                              current_token=2, history_token=0)
         ds = syn.synth_generate(spec, seed=seed)
-        want = [float(syn.rule_fires(s, ds.schema, spec)[0]) for s in ds.sequences]
+        want = [float(rule_fires(s, ds.schema, spec)[0]) for s in ds.sequences]
 
         def refuse(store):
             raise AssertionError("decoded EventSequence objects")

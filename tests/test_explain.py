@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhfm import checkpoint as cp
+from nhfm import data as d
 from nhfm import explain as ex
 from nhfm import model as m
 from nhfm import synthetic as syn
@@ -66,35 +67,46 @@ class TestTopWideFeatures:
             ex.top_wide_features(ck, other, count=5)
 
 
+def window_with_history(ds, count=None, at_least=1) -> int:
+    """The first window of ``ds`` with ``count`` real history events, or
+    with at least ``at_least`` of them."""
+    history = np.count_nonzero(ds.store.rows[:, :-1], axis=1)
+    return int(np.flatnonzero(history == count if count is not None
+                              else history >= at_least)[0])
+
+
 class TestAttentionReport:
     def test_single_history_event_gets_weight_one(self):
         ck, ds = make_checkpoint()
-        seq = next(s for s in ds.sequences if len(s.history_positions()) == 1)
-        report = ex.attention_report(ck, seq, ds.schema)
+        report = ex.attention_report(ck, ds.store, window_with_history(ds, count=1), ds.schema)
         assert len(report.events) == 1
         assert report.events[0].weight == 1.0
         assert report.events[0].rank == 1
 
     def test_weights_sum_to_one(self):
         ck, ds = make_checkpoint()
-        for seq in ds.sequences[:15]:
-            if not seq.history_positions():
+        for window in range(15):
+            if not ds.store.rows[window, :-1].any():
                 continue
-            report = ex.attention_report(ck, seq, ds.schema)
+            report = ex.attention_report(ck, ds.store, window, ds.schema)
             assert abs(sum(e.weight for e in report.events) - 1.0) < 1e-12
 
     def test_weights_match_forward_cache_bitwise(self):
         ck, ds = make_checkpoint(seed=5)
-        seq = next(s for s in ds.sequences if len(s.history_positions()) >= 3)
-        report = ex.attention_report(ck, seq, ds.schema)
+        window = window_with_history(ds, at_least=3)
+        report = ex.attention_report(ck, ds.store, window, ds.schema)
+        seq = ds.sequences[window]
         cache = m.forward(seq, ck.params, ck.model_config)
-        got = [e.weight for e in report.events]
-        assert got == list(cache.att_weights)
+        assert [e.weight for e in report.events] == list(cache.att_weights)
+        assert [e.slot for e in report.events] == seq.history_positions()
+        assert [e.fields for e in report.events] == [
+            d.decode_event(seq.events[t], ds.schema) for t in seq.history_positions()]
+        assert (report.user, report.label, report.y_hat) == (seq.user, seq.label, cache.y_hat)
 
     def test_ranks_are_a_permutation_ordered_by_weight(self):
         ck, ds = make_checkpoint(seed=6)
-        seq = next(s for s in ds.sequences if len(s.history_positions()) >= 3)
-        report = ex.attention_report(ck, seq, ds.schema)
+        report = ex.attention_report(ck, ds.store, window_with_history(ds, at_least=3),
+                                     ds.schema)
         ranks = sorted(e.rank for e in report.events)
         assert ranks == list(range(1, len(report.events) + 1))
         by_rank = sorted(report.events, key=lambda e: e.rank)
@@ -103,21 +115,19 @@ class TestAttentionReport:
 
     def test_alpha_variant_rejected(self):
         ck, ds = make_checkpoint(variant="alpha")
-        seq = ds.sequences[0]
         with pytest.raises(ValueError, match="no attention"):
-            ex.attention_report(ck, seq, ds.schema)
+            ex.attention_report(ck, ds.store, 0, ds.schema)
 
     def test_deterministic(self):
         ck, ds = make_checkpoint()
-        seq = next(s for s in ds.sequences if len(s.history_positions()) >= 2)
-        a = ex.attention_report(ck, seq, ds.schema)
-        b = ex.attention_report(ck, seq, ds.schema)
+        window = window_with_history(ds, at_least=2)
+        a = ex.attention_report(ck, ds.store, window, ds.schema)
+        b = ex.attention_report(ck, ds.store, window, ds.schema)
         assert a == b
 
     def test_decoded_fields_present(self):
         ck, ds = make_checkpoint()
-        seq = next(s for s in ds.sequences if len(s.history_positions()) >= 1)
-        report = ex.attention_report(ck, seq, ds.schema)
+        report = ex.attention_report(ck, ds.store, window_with_history(ds), ds.schema)
         for ev in report.events:
             assert set(ev.fields) == {"f0", "f1", "f2"}
 
@@ -135,6 +145,6 @@ class TestRendering:
 
     def test_event_table(self):
         ck, ds = make_checkpoint()
-        seq = next(s for s in ds.sequences if len(s.history_positions()) >= 2)
-        text = ex.render_event_report(ex.attention_report(ck, seq, ds.schema))
+        text = ex.render_event_report(ex.attention_report(
+            ck, ds.store, window_with_history(ds, at_least=2), ds.schema))
         assert "user=" in text and "weight" in text

@@ -1,6 +1,7 @@
 """Loss, optimizers, the training loop's determinism and early stopping,
 and the gradient verification mode (including a fault-injection case)."""
 
+import json
 import math
 
 import numpy as np
@@ -165,6 +166,27 @@ def test_hot_paths_build_no_window_objects(monkeypatch, tmp_path):
         test_ds.sequences
 
 
+def test_no_command_builds_window_objects(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("a command built EventSequence objects")
+    monkeypatch.setattr(d.EventStore, "views", refuse)
+    monkeypatch.setattr(d.EventStore, "of", refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"kind": "synthetic", "t_max": 4, "synth_seed": 17,
+                    "synth": {"n_users": 25, "n_fields": 2, "vocab_size": 4,
+                              "len_min": 3, "len_max": 6}},
+        "model": {"k": 3, "h": 3, "mlp_widths": [4, 1]},
+        "train": {"batch_size": 8, "max_epochs": 1},
+        "seeds": [1], "out_dir": str(tmp_path / "run")}))
+    for command in ("preprocess", "train", "eval", "explain"):
+        assert cli.main([command, "--config", str(config)]) == 0, command
+    assert "user=" in (tmp_path / "run" / "explain.txt").read_text()  # it reported windows
+    assert cli.main(["gradcheck"]) == 0
+    assert cli.main(["inspect", str(tmp_path / "run" / "data" / "test.nhfmds")]) == 0
+    assert "gradient check passed" in capsys.readouterr().out
+
+
 class TestTrainLoop:
     def test_fixed_seed_repeats_epoch_one_loss(self):
         r1, _, _ = _tiny_run(max_epochs=1)
@@ -233,20 +255,20 @@ class TestGradCheckMode:
                              len_min=2, len_max=6, t_max=5)
         ds = syn.synth_generate(spec, seed=23)
         config = m.ModelConfig(variant="full", k=2, h=2, mlp_widths=(3, 1), t_max=5)
-        multi = [s for s in ds.sequences if len(s.history_positions()) >= 3]
-        single = next(s for s in ds.sequences if len(s.history_positions()) == 1)
-        zero = next(s for s in ds.sequences if not s.history_positions())
-        return ds, config, [multi[0], multi[1], single, zero]
+        # two windows with at least 3 history events, one with 1, one with none
+        history = np.count_nonzero(ds.store.rows[:, :-1], axis=1)
+        multi = np.flatnonzero(history >= 3)
+        return ds, config, [multi[0], multi[1], np.argmax(history == 1), np.argmax(history == 0)]
 
     def test_fresh_model_passes(self, setup):
         ds, config, probe = setup
-        report = tr.grad_check_mode(probe, ds.schema.n, config, seed=8)
+        report = tr.grad_check_mode(ds.store, probe, ds.schema.n, config, seed=8)
         assert report.passed(), report.lines()
 
     def test_zero_history_only_passes(self, setup):
         ds, config, probe = setup
         zero = probe[-1]
-        report = tr.grad_check_mode([zero], ds.schema.n, config, seed=8)
+        report = tr.grad_check_mode(ds.store, [zero], ds.schema.n, config, seed=8)
         assert report.passed(), report.lines()
 
     def test_corrupted_fm_pool_backward_flags_embeddings(self, setup, monkeypatch):
@@ -255,8 +277,8 @@ class TestGradCheckMode:
         # (dead ReLUs can cut it off, which would hide the fault)
         params = m.random_parameters(config, ds.schema.n, 8)
         live = np.zeros_like(params["embed.V"])
-        for seq in probe:
-            _, grads = tr.example_loss_and_grads(seq, params, config)
+        for window in probe:
+            _, grads = m.loss_and_grads(m.gather(ds.store, [window]), params, config)
             live += grads["embed.V"]
         assert np.max(np.abs(live)) > 1e-6
 
@@ -269,12 +291,12 @@ class TestGradCheckMode:
             return pooled, 1.05 * total
 
         monkeypatch.setattr(m, "_fm_pool", broken_pool)
-        report = tr.grad_check_mode(probe, ds.schema.n, config, seed=8)
+        report = tr.grad_check_mode(ds.store, probe, ds.schema.n, config, seed=8)
         assert not report.passed()
         err, _ = report.per_group["embed.V"]
         assert err > report.tolerance
 
     def test_report_lines_name_worst_offender(self, setup):
         ds, config, probe = setup
-        report = tr.grad_check_mode(probe[:1], ds.schema.n, config, seed=8)
+        report = tr.grad_check_mode(ds.store, probe[:1], ds.schema.n, config, seed=8)
         assert any("worst:" in line for line in report.lines())
