@@ -74,7 +74,7 @@ def _datasets(root) -> dict:
     return out
 
 
-def _run(main, capsys, root) -> dict[str, str]:
+def _run(capsys, root) -> dict[str, str]:
     digests = {}
     for data, (train, valid, test) in _datasets(root).items():
         t_max = train.store.t_max
@@ -90,7 +90,7 @@ def _run(main, capsys, root) -> dict[str, str]:
                 _sha(state.v.flat.tobytes()),
                 _sha(tr.predict_scores(test, result.params, config).tobytes())])
 
-    assert main(["gradcheck"]) == 0
+    assert cli.main(["gradcheck"]) == 0
     digests["nhfm gradcheck"] = _sha(capsys.readouterr().out.encode())
     config = root / "explain.json"
     config.write_text(json.dumps({
@@ -99,7 +99,7 @@ def _run(main, capsys, root) -> dict[str, str]:
         "train": {"learning_rate": 0.02, "batch_size": 8, "max_epochs": 2},
         "seeds": [1], "out_dir": str(root / "run")}))
     for command in ("preprocess", "train", "explain"):
-        assert main([command, "--config", str(config)]) == 0
+        assert cli.main([command, "--config", str(config)]) == 0
     capsys.readouterr()
     digests["nhfm explain"] = _sha((root / "run" / "explain.txt").read_bytes())
     return digests
@@ -137,10 +137,10 @@ PINNED = {
 
 
 def test_runs_match_the_pinned_digests(tmp_path, capsys):
-    got = _run(cli.main, capsys, tmp_path / "a")
+    got = _run(capsys, tmp_path / "a")
     key = platform_key()
     if key not in PINNED:
-        assert _run(cli.main, capsys, tmp_path / "b") == got
+        assert _run(capsys, tmp_path / "b") == got
         warnings.warn(f"no digests pinned for numpy, OpenBLAS, core = {key}; "
                       "two runs agreed")
         return
