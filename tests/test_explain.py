@@ -67,18 +67,16 @@ class TestTopWideFeatures:
             ex.top_wide_features(ck, other, count=5)
 
 
-def window_with_history(ds, count=None, at_least=1) -> int:
-    """The first window of ``ds`` with ``count`` real history events, or
-    with at least ``at_least`` of them."""
-    history = np.count_nonzero(ds.store.rows[:, :-1], axis=1)
-    return int(np.flatnonzero(history == count if count is not None
-                              else history >= at_least)[0])
+def first_window(ds, has) -> int:
+    """The first window of ``ds`` whose count of real history events the
+    predicate ``has`` accepts."""
+    return int(np.flatnonzero(has(np.count_nonzero(ds.store.rows[:, :-1], axis=1)))[0])
 
 
 class TestAttentionReport:
     def test_single_history_event_gets_weight_one(self):
         ck, ds = make_checkpoint()
-        report = ex.attention_report(ck, ds.store, window_with_history(ds, count=1), ds.schema)
+        report = ex.attention_report(ck, ds.store, first_window(ds, lambda n: n == 1), ds.schema)
         assert len(report.events) == 1
         assert report.events[0].weight == 1.0
         assert report.events[0].rank == 1
@@ -93,7 +91,7 @@ class TestAttentionReport:
 
     def test_weights_match_forward_cache_bitwise(self):
         ck, ds = make_checkpoint(seed=5)
-        window = window_with_history(ds, at_least=3)
+        window = first_window(ds, lambda n: n >= 3)
         report = ex.attention_report(ck, ds.store, window, ds.schema)
         seq = ds.sequences[window]
         cache = m.forward(seq, ck.params, ck.model_config)
@@ -105,7 +103,7 @@ class TestAttentionReport:
 
     def test_ranks_are_a_permutation_ordered_by_weight(self):
         ck, ds = make_checkpoint(seed=6)
-        report = ex.attention_report(ck, ds.store, window_with_history(ds, at_least=3),
+        report = ex.attention_report(ck, ds.store, first_window(ds, lambda n: n >= 3),
                                      ds.schema)
         ranks = sorted(e.rank for e in report.events)
         assert ranks == list(range(1, len(report.events) + 1))
@@ -120,14 +118,14 @@ class TestAttentionReport:
 
     def test_deterministic(self):
         ck, ds = make_checkpoint()
-        window = window_with_history(ds, at_least=2)
+        window = first_window(ds, lambda n: n >= 2)
         a = ex.attention_report(ck, ds.store, window, ds.schema)
         b = ex.attention_report(ck, ds.store, window, ds.schema)
         assert a == b
 
     def test_decoded_fields_present(self):
         ck, ds = make_checkpoint()
-        report = ex.attention_report(ck, ds.store, window_with_history(ds), ds.schema)
+        report = ex.attention_report(ck, ds.store, first_window(ds, lambda n: n >= 1), ds.schema)
         for ev in report.events:
             assert set(ev.fields) == {"f0", "f1", "f2"}
 
@@ -146,5 +144,5 @@ class TestRendering:
     def test_event_table(self):
         ck, ds = make_checkpoint()
         text = ex.render_event_report(ex.attention_report(
-            ck, ds.store, window_with_history(ds, at_least=2), ds.schema))
+            ck, ds.store, first_window(ds, lambda n: n >= 2), ds.schema))
         assert "user=" in text and "weight" in text
