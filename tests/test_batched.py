@@ -61,14 +61,9 @@ def close(got, want, tol):
     return np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))
 
 
-@pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
-@pytest.mark.parametrize("pos_weight", [1.0, 3.5])
-def test_logits_and_gradients_match_the_tape(variant, pos_weight):
-    rng = np.random.default_rng(17)
-    # zero, one and full history first, then a random mix
-    windows = [random_window(rng, n) for n in (0, 1, T_MAX - 1, 0, 1, T_MAX - 1)]
-    windows += [random_window(rng, int(rng.integers(T_MAX))) for _ in range(10)]
-    windows[1] = d.EventSequence(windows[1].events, windows[1].q, 1, "u")
+def assert_matches_tape(windows, variant, pos_weight) -> dict:
+    """Batched logits, loss and gradients of ``windows`` against the tape's
+    per-window ones, to 1e-10; returns the batched gradients."""
     config = m.ModelConfig(variant=variant, k=4, h=3, mlp_widths=(5, 3, 1), t_max=T_MAX)
     params = m.random_parameters(config, N_FEATURES, seed=5)
     batch = po.pack(windows)
@@ -90,7 +85,39 @@ def test_logits_and_gradients_match_the_tape(variant, pos_weight):
         mean = g / len(windows)
         assert grads[name].shape == mean.shape, name
         assert np.all(close(grads[name], mean, 1e-10)), name
-        assert np.any(grads[name] != 0), name
+    return grads
+
+
+@pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
+@pytest.mark.parametrize("pos_weight", [1.0, 3.5])
+def test_logits_and_gradients_match_the_tape(variant, pos_weight):
+    rng = np.random.default_rng(17)
+    # zero, one and full history first, then a random mix
+    windows = [random_window(rng, n) for n in (0, 1, T_MAX - 1, 0, 1, T_MAX - 1)]
+    windows += [random_window(rng, int(rng.integers(T_MAX))) for _ in range(10)]
+    windows[1] = d.EventSequence(windows[1].events, windows[1].q, 1, "u")
+    grads = assert_matches_tape(windows, variant, pos_weight)
+    for name, g in grads.items():
+        assert np.any(g != 0), name
+
+
+@pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
+@pytest.mark.parametrize("longest", [T_MAX - 2, 2, 1, 0])
+def test_trimmed_lstm_matches_the_tape(variant, longest):
+    # no window holds more than ``longest`` history events, so every window
+    # pads the first T_MAX - 1 - longest history slots and the BiLSTM runs
+    # ``longest`` steps; with no history at all it runs none
+    rng = np.random.default_rng(29 + longest)
+    windows = [random_window(rng, n) for n in (longest, 0, longest)]
+    windows += [random_window(rng, int(rng.integers(longest + 1))) for _ in range(7)]
+    windows[0] = d.EventSequence(windows[0].events, windows[0].q, 1, "u")
+    grads = assert_matches_tape(windows, variant, 2.0)
+    lstm = [g for name, g in grads.items() if name.startswith("lstm.")]
+    assert len(lstm) == (0 if variant == "alpha" else 24)
+    if longest == 0:
+        assert not any(np.any(g) for g in lstm)
+    # equal history lengths: every step the BiLSTM runs is real in every row
+    assert_matches_tape([random_window(rng, longest) for _ in range(4)], variant, 2.0)
 
 
 @pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
@@ -173,6 +200,25 @@ SCORE_PARAMS = m.random_parameters(SCORE_CONFIG, N_FEATURES, seed=13)
 
 def scores_of(windows):
     return tr.predict_scores(d.Dataset(None, windows), SCORE_PARAMS, SCORE_CONFIG)
+
+
+def test_scoring_runs_only_the_history_slots_a_chunk_fills(monkeypatch):
+    # three chunks' worth of windows with full, two and no history events,
+    # interleaved in the store
+    rng = np.random.default_rng(31)
+    windows = [random_window(rng, n) for n in (T_MAX - 1, 2, 0) * m.SCORE_ROWS]
+    steps = []
+    true_lstm = m._lstm
+
+    def counted(x, *rest):
+        steps.append(x.shape[0])
+        return true_lstm(x, *rest)
+
+    monkeypatch.setattr(m, "_lstm", counted)
+    m.scores(d.EventStore.of(windows), SCORE_PARAMS, SCORE_CONFIG)
+    # ordered longest first, the chunks run 5, 2 and 0 steps in each
+    # direction; in store order each would run all T_MAX - 1 = 5
+    assert steps == [T_MAX - 1] * 2 + [2] * 2 + [0] * 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,7 +130,7 @@ PINNED = {
         "synthetic full adam": "af10edc85c8124c5 06530a46c8a0eda5 0837c9a5f47e9a0e 51790c559ca89370",
         "synthetic full sgd": "083f7f4604d55501 e3b0c44298fc1c14 e3b0c44298fc1c14 34411705316c051e",
         "synthetic full adam clip=0.05": "ef52d9ed5ffc0739 fc006ed301830e82 c5b8e4390683fe81 47519f6634a9c223",
-        "nhfm gradcheck": "442553c75c7b5676",
+        "nhfm gradcheck": "cbe54842f3668927",
         "nhfm explain": "a5e70a20d0b0d78b",
     },
 }

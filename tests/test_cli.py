@@ -449,6 +449,14 @@ class TestGradcheckCommand:
         assert "gradient check passed" in printed
         assert "worst:" in printed
 
+    def test_probe_reaches_every_tensor_through_the_trimmed_lstm(self):
+        store, probe, n = cli.gradcheck_probe()
+        # no probe window fills the first history slot, so the BiLSTM skips it
+        assert not store.rows[probe, 0].any()
+        params = m.random_parameters(cli.GRADCHECK_MODEL, n, cli.GRADCHECK_SEED)
+        _, grads = m.loss_and_grads(m.gather(store, probe), params, cli.GRADCHECK_MODEL)
+        assert [name for name, g in grads.items() if not np.any(g)] == []
+
     def test_checks_the_batched_backward(self, monkeypatch, capsys):
         true_backward = m._mlp_backward
 
