@@ -624,13 +624,10 @@ def _windows(idx: np.ndarray, val: np.ndarray, count: np.ndarray, owner: np.ndar
     if t_max < 1:
         raise DataError(f"t_max must be >= 1, got {t_max}")
     idx, val, count, number = _distinct_rows(idx, val, count, owner)
-    # int32 throughout, as the rows are stored: four bytes per slot, not eight
-    first = np.searchsorted(owner, owner).astype(np.int32)  # each event's user's first event
-    slots = (np.arange(len(owner), dtype=np.int32)[:, None]
-             + np.arange(1 - t_max, 1, dtype=np.int32))
-    rows = number[np.maximum(slots, 0)]
-    rows[slots < first[:, None]] = 0
-    return EventStore(idx, val, count, rows,
+    first = np.searchsorted(owner, owner)  # each event's user's first event
+    slots = np.arange(len(owner))[:, None] + np.arange(1 - t_max, 1)
+    rows = np.where(slots >= first[:, None], number[np.maximum(slots, 0)], 0)
+    return EventStore(idx, val, count, rows.astype(np.int32),
                       np.asarray(label, dtype=np.uint8), owner, tuple(users))
 
 

@@ -22,10 +22,11 @@ layer then runs once per batch:
 * self-importance attention with a softmax over real history slots only;
 * the BiLSTM, whose padded steps keep the previous state, so the forward
   direction starts at the first real event and the backward direction
-  carries its state through the left padding. Padding is a left prefix,
-  so the history slots before the first one any window of the batch
-  fills are padded in every window and would leave the state zero: both
-  directions start at that slot, with the same bits;
+  carries its state through the left padding. The history slots before
+  the first one any window of the batch fills would leave the state zero,
+  so neither direction runs them; the input projection and the weight
+  gradients still take every slot, so each product keeps its shape and
+  every bit;
 * the MLP, the wide term and the weighted NLL.
 
 Windows without history get zero attention and LSTM vectors. Backward
@@ -292,76 +293,69 @@ def _attention_backward(ds: np.ndarray, weights: np.ndarray, cache,
 
 
 def _lstm(x: np.ndarray, mask: np.ndarray, params: Parameters,
-          direction: str, h: int):
+          direction: str, h: int, live: range):
     """One direction over time-major steps ``x (S, B, k)``; a step whose
-    ``mask (S, B)`` is False keeps the previous state. ``cells`` and
-    ``hiddens (S + 1, B, h)`` hold the state before each step and the
-    final one."""
+    ``mask (S, B)`` is False keeps the previous state. Only the steps in
+    ``live`` run: the others are padded in every row, so the state is zero
+    before them and carried through after them."""
     S, B, k = x.shape
     w = np.concatenate([params[f"lstm.{direction}.W{g}"] for g in GATES])
     u = np.concatenate([params[f"lstm.{direction}.U{g}"] for g in GATES])
     b = np.concatenate([params[f"lstm.{direction}.b{g}"] for g in GATES])
+    # every step is projected, so the product's shape is the batch's alone
     xw = (x.reshape(S * B, k) @ w.T).reshape(S, B, 4 * h)
     # all four gates by one tanh: sigmoid(z) = 0.5 * tanh(z / 2) + 0.5
     half = np.full(4 * h, 0.5)
     half[2 * h:3 * h] = 1.0
     shift = 1.0 - half
-    cells = np.zeros((S + 1, B, h))
-    hiddens = np.zeros((S + 1, B, h))
+    hidden = np.zeros((B, h))
+    cell = np.zeros((B, h))
     acts = np.empty((S, B, 4 * h))
+    cells_prev = np.zeros((S, B, h))
     tanh_cells = np.empty((S, B, h))
-    partial = ~mask.all(axis=1)  # steps where some row is padded
-    for s in range(S):
+    hiddens_prev = np.zeros((S, B, h))
+    for s in live:
         a = acts[s]
-        np.tanh((xw[s] + hiddens[s] @ u.T + b) * half, out=a)
+        np.tanh((xw[s] + hidden @ u.T + b) * half, out=a)
         a *= half
         a += shift
         i, f, g, o = (a[:, j * h:(j + 1) * h] for j in range(4))
-        cell, hidden, tc = cells[s + 1], hiddens[s + 1], tanh_cells[s]
-        np.multiply(f, cells[s], out=cell)
-        cell += i * g
-        np.tanh(cell, out=tc)
-        np.multiply(o, tc, out=hidden)
-        if partial[s]:
-            pad = ~mask[s][:, None]
-            np.copyto(cell, cells[s], where=pad)
-            np.copyto(hidden, hiddens[s], where=pad)
-    return hiddens[S], (x, mask, w, u, acts, cells, tanh_cells, hiddens)
+        new_cell = f * cell + i * g
+        tc = np.tanh(new_cell)
+        cells_prev[s] = cell
+        hiddens_prev[s] = hidden
+        tanh_cells[s] = tc
+        m = mask[s][:, None]
+        cell = np.where(m, new_cell, cell)
+        hidden = np.where(m, o * tc, hidden)
+    return hidden, (x, mask, w, u, acts, cells_prev, tanh_cells, hiddens_prev, live)
 
 
 def _lstm_backward(dh: np.ndarray, cache, direction: str, h: int,
                    grads: dict) -> np.ndarray:
     """Backpropagation through time from the final hidden state's gradient
-    ``dh``; returns the gradient of the inputs ``x``."""
-    x, mask, w, u, acts, cells, tanh_cells, hiddens = cache
+    ``dh``; returns the gradient of the inputs ``x``. The steps that did
+    not run pass ``dh`` through and add zero rows to the products."""
+    x, mask, w, u, acts, cells_prev, tanh_cells, hiddens_prev, live = cache
     S, B, k = x.shape
     dc = np.zeros((B, h))
-    dpre = np.empty((S, B, 4 * h))
-    partial = ~mask.all(axis=1)
-    for s in range(S - 1, -1, -1):
+    dpre = np.zeros((S, B, 4 * h))
+    for s in reversed(live):
+        m = mask[s][:, None]
         i, f, g, o = (acts[s, :, j * h:(j + 1) * h] for j in range(4))
         tc = tanh_cells[s]
-        if partial[s]:
-            m = mask[s][:, None]
-            dh_new = np.where(m, dh, 0.0)
-            dc_new = np.where(m, dc, 0.0) + dh_new * o * (1.0 - tc * tc)
-        else:
-            dh_new = dh
-            dc_new = dc + dh * o * (1.0 - tc * tc)
+        dh_new = np.where(m, dh, 0.0)
+        dc_new = np.where(m, dc, 0.0) + dh_new * o * (1.0 - tc * tc)
         d = dpre[s]
         d[:, :h] = dc_new * g * i * (1.0 - i)
-        d[:, h:2 * h] = dc_new * cells[s] * f * (1.0 - f)
+        d[:, h:2 * h] = dc_new * cells_prev[s] * f * (1.0 - f)
         d[:, 2 * h:3 * h] = dc_new * i * (1.0 - g * g)
         d[:, 3 * h:] = dh_new * tc * o * (1.0 - o)
-        if partial[s]:
-            dc = np.where(m, dc_new * f, dc)
-            dh = np.where(m, d @ u, dh)
-        else:
-            dc = dc_new * f
-            dh = d @ u
+        dc = np.where(m, dc_new * f, dc)
+        dh = np.where(m, d @ u, dh)
     flat = dpre.reshape(S * B, 4 * h)
     dw = flat.T @ x.reshape(S * B, k)
-    du = flat.T @ hiddens[:S].reshape(S * B, h)
+    du = flat.T @ hiddens_prev.reshape(S * B, h)
     db = flat.sum(axis=0)
     for j, gate in enumerate(GATES):
         rows = slice(j * h, (j + 1) * h)
@@ -416,10 +410,12 @@ def _forward(batch: Batch, params: Parameters, config: ModelConfig):
         # a padded step keeps the state, so steps padded in every window
         # leave it zero: both directions run from the first slot any fills
         filled = np.flatnonzero(mask.any(axis=0))
-        cache["s0"] = s0 = filled[0] if len(filled) else T - 1
-        steps, step_mask = history[:, s0:].transpose(1, 0, 2), mask[:, s0:].T
-        h_fwd, cache["fwd"] = _lstm(steps, step_mask, params, "fwd", h)
-        h_bwd, cache["bwd"] = _lstm(steps[::-1], step_mask[::-1], params, "bwd", h)
+        s0 = filled[0] if len(filled) else T - 1
+        steps, step_mask = history.transpose(1, 0, 2), mask.T
+        h_fwd, cache["fwd"] = _lstm(steps, step_mask, params, "fwd", h,
+                                    range(s0, T - 1))
+        h_bwd, cache["bwd"] = _lstm(steps[::-1], step_mask[::-1], params, "bwd", h,
+                                    range(T - 1 - s0))
         parts += [s_self, h_fwd + h_bwd]
     parts.append(events[:, -1])
 
@@ -467,7 +463,7 @@ def loss_and_grads(batch: Batch, params: Parameters, config: ModelConfig,
         d_rnn = ds[:, col + k:col + k + h]
         dsteps = _lstm_backward(d_rnn, cache["fwd"], "fwd", h, grads)
         dsteps += _lstm_backward(d_rnn, cache["bwd"], "bwd", h, grads)[::-1]
-        dhistory[:, cache["s0"]:] += dsteps.transpose(1, 0, 2)
+        dhistory += dsteps.transpose(1, 0, 2)
 
     u = cache["u"]
     du = devents[:, :, None, :] * (cache["event_sums"][:, :, None, :] - u)

@@ -210,9 +210,9 @@ def test_scoring_runs_only_the_history_slots_a_chunk_fills(monkeypatch):
     steps = []
     true_lstm = m._lstm
 
-    def counted(x, *rest):
-        steps.append(x.shape[0])
-        return true_lstm(x, *rest)
+    def counted(x, mask, params, direction, h, live):
+        steps.append(len(live))
+        return true_lstm(x, mask, params, direction, h, live)
 
     monkeypatch.setattr(m, "_lstm", counted)
     m.scores(d.EventStore.of(windows), SCORE_PARAMS, SCORE_CONFIG)
