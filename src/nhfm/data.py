@@ -624,10 +624,14 @@ def _windows(idx: np.ndarray, val: np.ndarray, count: np.ndarray, owner: np.ndar
     if t_max < 1:
         raise DataError(f"t_max must be >= 1, got {t_max}")
     idx, val, count, number = _distinct_rows(idx, val, count, owner)
-    first = np.searchsorted(owner, owner)  # each event's user's first event
-    slots = np.arange(len(owner))[:, None] + np.arange(1 - t_max, 1)
-    rows = np.where(slots >= first[:, None], number[np.maximum(slots, 0)], 0)
-    return EventStore(idx, val, count, rows.astype(np.int32),
+    # each event's user's first event; int32 like the row numbers
+    first = np.searchsorted(owner, owner).astype(np.int32)
+    slots = np.arange(len(owner), dtype=np.int32)[:, None] + np.arange(
+        1 - t_max, 1, dtype=np.int32)
+    real = slots >= first[:, None]
+    rows = number[np.maximum(slots, 0, out=slots)]
+    rows[~real] = 0
+    return EventStore(idx, val, count, rows,
                       np.asarray(label, dtype=np.uint8), owner, tuple(users))
 
 

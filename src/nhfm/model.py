@@ -11,14 +11,14 @@ variant: a parameter-free interaction pool over history event vectors
 the MLP input, and a linear wide term over all raw features joins the
 logit.
 
-One engine computes all of it. A batch of windows is gathered from an
-:class:`~nhfm.data.EventStore` into ``idx (B, T, F)`` feature indices,
-``val (B, T, F)`` feature values and ``q (B, T)`` real-slot flags, where F
-is the largest entry count of any event among the gathered windows.
-Padded entries carry index 0 and value 0, so they add nothing. Every
-layer then runs once per batch:
+One engine computes all of it, in the paper's two levels. The event
+level depends on one event alone (:func:`_event_rows`): its in-event FM
+pool and its wide term, whose entries are added in order, and, with
+attention, its self-importance logit and ReLU projection
+(:func:`_self_importance`). The window level (:func:`_window_level`)
+reads those values per slot and runs:
 
-* the in-event FM pool and the masked sequence FM pool;
+* the masked sequence FM pool;
 * self-importance attention with a softmax over real history slots only;
 * the BiLSTM, whose padded steps keep the previous state, so the forward
   direction starts at the first real event and the backward direction
@@ -27,15 +27,27 @@ layer then runs once per batch:
   so neither direction runs them; the input projection and the weight
   gradients still take every slot, so each product keeps its shape and
   every bit;
-* the MLP, the wide term and the weighted NLL.
+* the MLP, the wide sum and the weighted NLL.
 
-Windows without history get zero attention and LSTM vectors. Backward
-passes are written by hand per layer; embedding and wide gradients are
-scattered into one dense buffer per batch. Training, scoring, the
-gradient check and the attention report (:func:`window_forward`) all run
-this engine on windows of an event store. Scoring takes the windows in
-order of their history length, so each chunk's windows share their left
-padding and its BiLSTM runs few steps (see :func:`scores`).
+A batch of windows is gathered from an :class:`~nhfm.data.EventStore`
+into ``idx (B, T, F)`` feature indices, ``val (B, T, F)`` feature values
+and ``q (B, T)`` real-slot flags, where F is the largest entry count of
+any event among the gathered windows. Padded entries carry index 0 and
+value 0, so they add nothing. Training, the gradient check and the
+attention report (:func:`window_forward`) run the event level on every
+slot of their batch, each slot its own event (self-importance on the
+history slots only), and the window level on the result. Windows without
+history get zero attention and LSTM vectors. Backward passes are written
+by hand per layer; embedding and wide gradients are scattered into one
+dense buffer per batch.
+
+Scoring (:func:`scores`) runs the event level once per distinct event.
+It takes the windows in order of their history length, so each chunk's
+windows share their left padding and its BiLSTM runs few steps, and
+walks that order in spans of ``SPAN_WINDOWS`` windows. The event level
+runs on each distinct store row a span references, in blocks of
+``EVENT_ROWS`` rows, and the window level on chunks of ``SCORE_ROWS``
+windows; so the extra memory is bounded by the span, not the store.
 """
 
 from __future__ import annotations
@@ -218,6 +230,11 @@ def probabilities(logits: np.ndarray) -> np.ndarray:
 # number of rows changes; at a fixed row count a window's score depends on
 # neither its batchmates nor its position.
 SCORE_ROWS = 64
+# Store rows per event-level block while scoring, padded with the empty row 0
+# by the same rule, and windows per scoring span (a whole number of chunks),
+# which bounds the event-level values held at once.
+EVENT_ROWS = 256
+SPAN_WINDOWS = 16 * SCORE_ROWS
 
 
 @dataclass(frozen=True)
@@ -253,24 +270,32 @@ def _fm_pool(u: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (total * total - (u * u).sum(axis=axis)), total
 
 
-def _attention(eh: np.ndarray, mask: np.ndarray, params: Parameters, k: int):
-    """Self-importance over history vectors ``eh (B, Th, k)``."""
-    B, Th, _ = eh.shape
+def _self_importance(events: np.ndarray, params: Parameters, k: int):
+    """Self-importance terms of event vectors ``events (..., k)``: with
+    ``z = events @ W_cat.T + b_cat`` taken as one product over all rows,
+    the logit ``f1 . f2 / sqrt(k)`` and the ReLU projection ``max(f3, 0)``
+    of each event."""
+    shape = events.shape[:-1]
     w_cat = np.concatenate([params[f"attn.{n}.W"] for n in ("F1", "F2", "F3")])
     b_cat = np.concatenate([params[f"attn.{n}.b"] for n in ("F1", "F2", "F3")])
-    flat = eh.reshape(B * Th, k)
-    z = (flat @ w_cat.T + b_cat).reshape(B, Th, 3 * k)
+    flat = events.reshape(-1, k)
+    z = (flat @ w_cat.T + b_cat).reshape(*shape, 3 * k)
     f1, f2, z3 = z[..., :k], z[..., k:2 * k], z[..., 2 * k:]
     scale = 1.0 / math.sqrt(k)
     logits = (f1 * f2).sum(axis=-1) * scale
+    proj = np.maximum(z3, 0.0)
+    return logits, proj, (flat, w_cat, f1, f2, z3, proj, scale)
+
+
+def _attend(logits: np.ndarray, proj: np.ndarray, mask: np.ndarray):
+    """The softmax of the history slots' logits ``(B, Th)`` over the real
+    slots only, and the weighted sum of their projections ``(B, Th, k)``."""
     masked = np.where(mask, logits, -np.inf)
     top = masked.max(axis=1, keepdims=True, initial=-np.inf)
     ex = np.exp(masked - np.where(np.isfinite(top), top, 0.0))
     den = ex.sum(axis=1, keepdims=True)
     weights = ex / np.where(den > 0, den, 1.0)
-    proj = np.maximum(z3, 0.0)
-    s_self = (weights[..., None] * proj).sum(axis=1)
-    return s_self, weights, (flat, w_cat, f1, f2, z3, proj, scale)
+    return (weights[..., None] * proj).sum(axis=1), weights
 
 
 def _attention_backward(ds: np.ndarray, weights: np.ndarray, cache,
@@ -392,21 +417,36 @@ def _mlp_backward(dout: np.ndarray, cache, params: Parameters,
 # the whole model
 
 
-def _forward(batch: Batch, params: Parameters, config: ModelConfig):
-    """Logits ``(B,)`` and the caches of every layer."""
-    k, h = config.k, config.h
-    B, T, F = batch.idx.shape
-    u = params["embed.V"][batch.idx] * batch.val[..., None]        # (B, T, F, k)
-    events, event_sums = _fm_pool(u, axis=2)                      # (B, T, k)
-    history, mask = events[:, :-1], batch.q[:, :-1]
-    parts, cache = [], {"u": u, "events": events, "event_sums": event_sums}
+def _event_rows(idx: np.ndarray, val: np.ndarray, params: Parameters):
+    """The event level for events ``idx (..., F)``, ``val (..., F)``: each
+    event's FM-pooled vector ``(..., k)`` and wide term ``(...)``, and the
+    embedded entries ``u`` and their sum, which the backward pass reads."""
+    u = params["embed.V"][idx] * val[..., None]                   # (..., F, k)
+    events, sums = _fm_pool(u, axis=-2)
+    # each event adds its entries in order, so padded entries add exact
+    # zeros last and the wide term does not depend on the width F
+    terms = params["wide.w"][idx] * val
+    wide = np.zeros(idx.shape[:-1])
+    for f in range(idx.shape[-1]):
+        wide += terms[..., f]
+    return events, wide, u, sums
 
+
+def _window_level(events: np.ndarray, wide: np.ndarray, q: np.ndarray,
+                  att, params: Parameters, config: ModelConfig):
+    """Logits ``(B,)`` and the caches of the window level, from the event
+    level read per slot: ``events (B, T, k)``, ``wide (B, T)``, real-slot
+    flags ``q (B, T)`` and, with attention, ``att``: the history slots'
+    self-importance logits ``(B, T - 1)`` and projections ``(B, T - 1, k)``."""
+    h = config.h
+    T = events.shape[1]
+    history, mask = events[:, :-1], q[:, :-1]
+    parts, cache = [], {"events": events}
     if config.uses_alpha_branch():
         s_alpha, cache["history_sum"] = _fm_pool(history * mask[..., None], axis=1)
         parts.append(s_alpha)
     if config.uses_attention():
-        s_self, cache["att_weights"], cache["attention"] = _attention(
-            history, mask, params, k)
+        s_self, cache["att_weights"] = _attend(*att, mask)
         # a padded step keeps the state, so steps padded in every window
         # leave it zero: both directions run from the first slot any fills
         filled = np.flatnonzero(mask.any(axis=0))
@@ -421,13 +461,21 @@ def _forward(batch: Batch, params: Parameters, config: ModelConfig):
 
     s = np.concatenate(parts, axis=1)
     mlp_out, cache["mlp"] = _mlp(s, params, len(config.mlp_widths))
-    # each slot adds its entries in order, so padded entries add exact zeros
-    # last and the wide term does not depend on the batch's width F
-    terms = params["wide.w"][batch.idx] * batch.val                # (B, T, F)
-    slots = np.zeros((B, T))
-    for f in range(F):
-        slots += terms[..., f]
-    return mlp_out + (slots.sum(axis=1) + params["wide.b"]), cache
+    return mlp_out + (wide.sum(axis=1) + params["wide.b"]), cache
+
+
+def _forward(batch: Batch, params: Parameters, config: ModelConfig):
+    """Logits ``(B,)`` and the caches of every layer: the window level over
+    the event level of the batch's own slots, each slot its own event."""
+    events, wide, u, sums = _event_rows(batch.idx, batch.val, params)
+    att, cache = None, {"u": u, "event_sums": sums}
+    if config.uses_attention():
+        # on the history slots alone, the rows the attention backward takes
+        att_logits, proj, cache["attention"] = _self_importance(
+            events[:, :-1], params, config.k)
+        att = (att_logits, proj)
+    logit, window_cache = _window_level(events, wide, batch.q, att, params, config)
+    return logit, cache | window_cache
 
 
 def logits(batch: Batch, params: Parameters, config: ModelConfig) -> np.ndarray:
@@ -480,22 +528,61 @@ def loss_and_grads(batch: Batch, params: Parameters, config: ModelConfig,
     return loss, grads
 
 
+def _event_level(store: EventStore, rows: np.ndarray, params: Parameters,
+                 config: ModelConfig):
+    """The event level of the store rows ``rows``, ``EVENT_ROWS`` at a time,
+    the last block padded with the empty row 0: each row's pooled vector and
+    wide term and, with attention, its self-importance logit and projection
+    (``None`` without)."""
+    k, n = config.k, len(rows)
+    blocks = np.zeros(-(-n // EVENT_ROWS) * EVENT_ROWS, dtype=np.intp)
+    blocks[:n] = rows
+    events, wide = np.empty((len(blocks), k)), np.empty(len(blocks))
+    att = None
+    if config.uses_attention():
+        att = (np.empty(len(blocks)), np.empty((len(blocks), k)))
+    for lo in range(0, len(blocks), EVENT_ROWS):
+        block, at = blocks[lo:lo + EVENT_ROWS], slice(lo, lo + EVENT_ROWS)
+        width = int(store.count[block].max(initial=0))
+        events[at], wide[at], _, _ = _event_rows(
+            store.idx[block, :width].astype(np.intp), store.val[block, :width], params)
+        if att is not None:
+            att[0][at], att[1][at], _ = _self_importance(events[at], params, k)
+    return events, wide, att
+
+
 def scores(store: EventStore, params: Parameters, config: ModelConfig) -> np.ndarray:
     """Clamped probabilities for every window, ``SCORE_ROWS`` at a time.
 
     The windows are chunked in order of their real history slots, longest
     first (a stable sort), so a chunk's windows share their left padding
-    and its BiLSTM skips the slots that none of them fills. Each score is
+    and its BiLSTM skips the slots that none of them fills. The order is
+    walked in spans of ``SPAN_WINDOWS`` windows: the event level runs once
+    on each distinct row a span references (row 0 first), and each chunk's
+    window level reads it through the chunk's references. Each score is
     written back to its window's position; a score depends on neither its
     batchmates nor its position, so the order changes no bit of it.
     """
     order = np.argsort(-np.count_nonzero(store.rows[:, :-1], axis=1), kind="stable")
     out = np.empty(len(store))
-    for lo in range(0, len(store), SCORE_ROWS):
-        chunk = order[lo:lo + SCORE_ROWS]
-        batch = gather(store, chunk, rows=SCORE_ROWS)
-        out[chunk] = probabilities(logits(batch, params, config)[:len(chunk)])
-    return out
+    for start in range(0, len(store), SPAN_WINDOWS):
+        span = order[start:start + SPAN_WINDOWS]
+        # the distinct rows, row 0 first; by a sort, as np.unique imports numpy.ma
+        rows = np.sort(np.append(0, store.rows[span]))
+        rows = rows[np.append(True, rows[1:] != rows[:-1])]
+        events, wide, att = _event_level(store, rows, params, config)
+        local = np.searchsorted(rows, store.rows[span])  # 0 on padded slots
+        for lo in range(0, len(span), SCORE_ROWS):
+            chunk = span[lo:lo + SCORE_ROWS]
+            refs = np.zeros((SCORE_ROWS, store.t_max), dtype=np.intp)
+            refs[:len(chunk)] = local[lo:lo + SCORE_ROWS]
+            history = refs[:, :-1]
+            logit = _window_level(
+                events[refs], wide[refs], refs > 0,
+                None if att is None else (att[0][history], att[1][history]),
+                params, config)[0]  # the caches go at once
+            out[chunk] = logit[:len(chunk)]
+    return probabilities(out)
 
 
 @dataclass

@@ -221,6 +221,75 @@ def test_scoring_runs_only_the_history_slots_a_chunk_fills(monkeypatch):
     assert steps == [T_MAX - 1] * 2 + [2] * 2 + [0] * 2
 
 
+def sliding_store(n_users: int, n_events: int) -> d.EventStore:
+    """Every window over each of ``n_users`` streams of ``n_events`` events,
+    as the ingest builds them; each event's numerical entry, ``number /
+    1e5``, numbers it from 1, so no two events are equal."""
+    rng = np.random.default_rng(37)
+    windows, number = [], 0
+    for user in range(n_users):
+        stream = []
+        for _ in range(n_events):
+            number += 1
+            stream.append(d.Event(((int(rng.integers(VOCAB)), 1.0),
+                                   (VOCAB + int(rng.integers(VOCAB)), 1.0),
+                                   ((N_FIELDS - 1) * VOCAB, number / 1e5))))
+        for end in range(n_events):
+            events = stream[max(0, end + 1 - T_MAX):end + 1]
+            pad = T_MAX - len(events)
+            windows.append(d.EventSequence([d.PADDING_EVENT] * pad + events,
+                                           [0] * pad + [1] * len(events),
+                                           int(rng.integers(2)), f"u{user}"))
+    return d.EventStore.of(windows)
+
+
+# more windows than one span, and more distinct rows than one event block
+SLIDING = sliding_store(3, 400)
+
+
+def test_scoring_computes_each_distinct_event_once_per_span(monkeypatch):
+    computed = []
+    true_rows = m._event_rows
+
+    def recorded(idx, val, params):
+        assert len(idx) == m.EVENT_ROWS
+        # the numerical entry is last, so it names the event; 0 names row 0
+        computed.append(np.rint(val[:, -1] * 1e5).astype(int) if val.shape[1] else
+                        np.zeros(len(idx), dtype=int))
+        return true_rows(idx, val, params)
+
+    monkeypatch.setattr(m, "_event_rows", recorded)
+    m.scores(SLIDING, SCORE_PARAMS, SCORE_CONFIG)
+    # the windows are scored in order of their history length, longest first
+    order = np.argsort(-np.count_nonzero(SLIDING.rows[:, :-1], axis=1), kind="stable")
+    numbers = np.rint(SLIDING.val[:, 2] * 1e5).astype(int)
+    blocks = iter(computed)
+    for start in range(0, len(SLIDING), m.SPAN_WINDOWS):
+        want = np.union1d(0, numbers[SLIDING.rows[order[start:start + m.SPAN_WINDOWS]]])
+        got = np.concatenate([next(blocks) for _ in range(-(-len(want) // m.EVENT_ROWS))])
+        # each distinct row once, then the empty row as filler
+        assert np.array_equal(got[:len(want)], want)
+        assert not got[len(want):].any()
+    assert next(blocks, None) is None
+
+
+@pytest.mark.parametrize("variant", ["alpha", "beta", "full"])
+def test_spans_and_blocks_score_as_single_windows(variant):
+    # at this draw the attention and LSTM weights move every variant's scores
+    config = m.ModelConfig(variant=variant, k=8, h=4, mlp_widths=(8, 1), t_max=T_MAX)
+    params = m.random_parameters(config, N_FEATURES, seed=43)
+    assert len(SLIDING) > m.SPAN_WINDOWS and len(SLIDING.idx) > m.EVENT_ROWS
+    got = m.scores(SLIDING, params, config)
+    alone = [m.logits(m.gather(SLIDING, [i], rows=m.SCORE_ROWS), params, config)[0]
+             for i in range(len(SLIDING))]
+    assert np.all(close(got, m.probabilities(np.array(alone)), 1e-12))
+    # a sub-store, in any order and with repeats, scores its windows' bits
+    rng = np.random.default_rng(43)
+    for sub in (rng.permutation(len(SLIDING))[:700], rng.integers(len(SLIDING), size=300),
+                np.arange(m.SPAN_WINDOWS + 1)[::-1]):
+        assert m.scores(SLIDING.take(sub), params, config).tobytes() == got[sub].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(target=st.integers(0, len(SCORE_POOL) - 1),
        mates=st.lists(st.integers(0, len(SCORE_POOL) - 1), max_size=3 * m.SCORE_ROWS),

@@ -296,6 +296,41 @@ class TestGradCheckMode:
         err, _ = report.per_group["embed.V"]
         assert err > report.tolerance
 
+    @staticmethod
+    def failing_tensors(setup) -> list[str]:
+        # at seed 8 dead ReLUs cut the probe off from every attention and
+        # LSTM gradient; at seed 21 each is nonzero and the check passes
+        ds, config, probe = setup
+        report = tr.grad_check_mode(ds.store, probe, ds.schema.n, config, seed=21)
+        return [name for name, (err, _) in report.per_group.items()
+                if err >= report.tolerance]
+
+    def test_the_attention_and_lstm_probe_passes(self, setup):
+        assert self.failing_tensors(setup) == []
+
+    def test_corrupted_attention_backward_flags_its_weights(self, setup, monkeypatch):
+        true_backward = m._attention_backward
+
+        def broken_backward(ds, weights, cache, grads):
+            dx = true_backward(ds, weights, cache, grads)
+            grads["attn.F1.W"] = 1.05 * grads["attn.F1.W"]
+            return dx
+
+        monkeypatch.setattr(m, "_attention_backward", broken_backward)
+        assert self.failing_tensors(setup) == ["attn.F1.W"]
+
+    def test_corrupted_lstm_backward_flags_its_weights(self, setup, monkeypatch):
+        true_backward = m._lstm_backward
+
+        def broken_backward(dh, cache, direction, h, grads):
+            dx = true_backward(dh, cache, direction, h, grads)
+            if direction == "fwd":
+                grads["lstm.fwd.Ui"] = 1.05 * grads["lstm.fwd.Ui"]
+            return dx
+
+        monkeypatch.setattr(m, "_lstm_backward", broken_backward)
+        assert self.failing_tensors(setup) == ["lstm.fwd.Ui"]
+
     def test_report_lines_name_worst_offender(self, setup):
         ds, config, probe = setup
         report = tr.grad_check_mode(ds.store, probe[:1], ds.schema.n, config, seed=8)
