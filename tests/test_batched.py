@@ -254,8 +254,7 @@ def test_scoring_computes_each_distinct_event_once_per_span(monkeypatch):
     def recorded(idx, val, params):
         assert len(idx) == m.EVENT_ROWS
         # the numerical entry is last, so it names the event; 0 names row 0
-        computed.append(np.rint(val[:, -1] * 1e5).astype(int) if val.shape[1] else
-                        np.zeros(len(idx), dtype=int))
+        computed.append(np.rint(val[:, -1] * 1e5).astype(int))
         return true_rows(idx, val, params)
 
     monkeypatch.setattr(m, "_event_rows", recorded)
