@@ -111,21 +111,33 @@ class FeatureSchema:
     def to_json(self) -> str:
         """Human-readable schema text (field order, vocab, stats). Like the
         digest, it is built once: writing the schema and :meth:`hash` both
-        ask for it."""
+        ask for it.
+
+        The text is byte for byte what ``json.dumps(payload, indent=2,
+        ensure_ascii=False)`` writes for the payload ``{"format", "fields":
+        [{"name", "kind", "vocab", "stats"}, ...]}``, so every hash stays
+        put. ``indent`` would send the whole payload through json's pure
+        Python encoder; here json's C encoder writes each list, with the
+        separator that puts every item on its own line at the list's depth,
+        and the fixed layout around the lists is written out directly.
+        """
         if self._text is None:
-            payload = {
-                "format": "nhfm-schema-v1",
-                "fields": [
-                    {
-                        "name": f.name,
-                        "kind": f.kind,
-                        "vocab": list(f.vocab.keys()) if f.kind == CATEGORICAL else None,
-                        "stats": list(f.stats) if f.stats is not None else None,
-                    }
-                    for f in self.fields
-                ],
-            }
-            self._text = json.dumps(payload, indent=2, ensure_ascii=False)
+            encode = json.JSONEncoder(ensure_ascii=False,
+                                      separators=(",\n" + " " * 8, ": ")).encode
+
+            def items(values: list) -> str:
+                return "[\n" + " " * 8 + encode(values)[1:-1] + "\n      ]" if values else "[]"
+
+            fields = [
+                '    {\n      "name": ' + encode(f.name)
+                + ',\n      "kind": ' + encode(f.kind)
+                + ',\n      "vocab": ' + (items(list(f.vocab)) if f.kind == CATEGORICAL else "null")
+                + ',\n      "stats": ' + (items(list(f.stats)) if f.stats is not None else "null")
+                + "\n    }"
+                for f in self.fields
+            ]
+            listed = "[\n" + ",\n".join(fields) + "\n  ]" if fields else "[]"
+            self._text = '{\n  "format": "nhfm-schema-v1",\n  "fields": ' + listed + "\n}"
         return self._text
 
     @classmethod
@@ -143,6 +155,11 @@ class FeatureSchema:
             for fj in payload["fields"]:
                 vocab = {tok: i for i, tok in enumerate(fj["vocab"])} if fj["vocab"] is not None else {}
                 stats = tuple(fj["stats"]) if fj["stats"] is not None else None
+                # to_json's fixed layout holds a known kind and numbers as stats
+                if fj["kind"] not in (CATEGORICAL, NUMERICAL) or not all(
+                        isinstance(x, (int, float)) for x in stats or ()):
+                    raise FormatError(f"schema field {fj['name']!r} is malformed: "
+                                      f"kind {fj['kind']!r}, stats {fj['stats']!r}")
                 fields.append(FieldSpec(fj["name"], fj["kind"], vocab, stats))
             return cls(fields)
         except (KeyError, TypeError) as exc:

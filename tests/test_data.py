@@ -2,12 +2,13 @@
 store and its NHFMDS2 files, and the synthetic generator."""
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rule_oracle import rule_fires
@@ -183,7 +184,43 @@ class TestSplit:
             d.split(d.Dataset(schema, []))
 
 
+def _dumps_schema(schema):
+    """The schema text as ``json.dumps`` writes it through json's pure
+    Python encoder, kept as the reference for ``to_json``."""
+    payload = {
+        "format": "nhfm-schema-v1",
+        "fields": [
+            {
+                "name": f.name,
+                "kind": f.kind,
+                "vocab": list(f.vocab.keys()) if f.kind == d.CATEGORICAL else None,
+                "stats": list(f.stats) if f.stats is not None else None,
+            }
+            for f in schema.fields
+        ],
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+# what JSON escapes or passes through: quotes, backslashes, control
+# characters, U+2028 and characters outside the BMP
+_schema_text = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u2028\U0001f600'),
+                                 st.characters(codec="utf-8")), max_size=5)
+_schema_field = st.builds(
+    d.FieldSpec, _schema_text, st.sampled_from([d.CATEGORICAL, d.NUMERICAL]),
+    st.lists(_schema_text, max_size=4, unique=True).map(lambda ts: dict(zip(ts, range(len(ts))))),
+    st.none() | st.tuples(*[st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])] * 2))
+
+
 class TestSchemaSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_schema_field, max_size=4))
+    @example([])
+    @example([d.FieldSpec("empty", d.CATEGORICAL), d.FieldSpec("x", d.NUMERICAL)])
+    def test_text_is_what_json_dumps_writes(self, fields):
+        schema = d.FeatureSchema(fields)
+        assert schema.to_json() == _dumps_schema(schema)
+
     def test_json_round_trip_preserves_hash(self):
         schema = d.fit_schema(
             [rec(color="a", amount=1.5), rec(color="b", amount=2.5)],
@@ -203,6 +240,10 @@ class TestSchemaSerialization:
         ('{"format": "nhfm-schema-v1"}', "malformed"),
         ('{"format": "nhfm-schema-v1", "fields": [{"name": "a"}]}', "malformed"),
         ('{"format": "nhfm-schema-v1", "fields": 3}', "malformed"),
+        ('{"format": "nhfm-schema-v1", "fields": [{"name": "a", "kind": "ordinal", '
+         '"vocab": null, "stats": null}]}', "field 'a' is malformed: kind 'ordinal'"),
+        ('{"format": "nhfm-schema-v1", "fields": [{"name": "a", "kind": "numerical", '
+         '"vocab": null, "stats": [[0], 1]}]}', r"field 'a' is malformed: .* stats \[\[0\], 1\]"),
     ])
     def test_bad_text_is_a_format_error(self, text, message):
         with pytest.raises(FormatError, match=message):
