@@ -264,12 +264,8 @@ class TestGradCheckMode:
 
     def test_fresh_model_passes(self, setup):
         ds, config, probe = setup
-        # precondition: the probe reaches the attention and LSTM weights
-        params = m.random_parameters(config, ds.schema.n, 21)
-        _, grads = m.loss_and_grads(m.gather(ds.store, probe), params, config)
-        for name in ("attn.F1.W", "lstm.fwd.Ui"):
-            assert np.max(np.abs(grads[name])) > 1e-6, name
-        assert self.failing_tensors(setup) == []
+        report = tr.grad_check_mode(ds.store, probe, ds.schema.n, config, seed=21)
+        assert report.passed(), report.lines()
 
     def test_zero_history_only_passes(self, setup):
         ds, config, probe = setup
@@ -308,6 +304,15 @@ class TestGradCheckMode:
         report = tr.grad_check_mode(ds.store, probe, ds.schema.n, config, seed=21)
         return [name for name, (err, _) in report.per_group.items()
                 if err >= report.tolerance]
+
+    def test_the_attention_and_lstm_probe_passes(self, setup):
+        ds, config, probe = setup
+        # precondition: the probe reaches the attention and LSTM weights
+        params = m.random_parameters(config, ds.schema.n, 21)
+        _, grads = m.loss_and_grads(m.gather(ds.store, probe), params, config)
+        for name in ("attn.F1.W", "lstm.fwd.Ui"):
+            assert np.max(np.abs(grads[name])) > 1e-6, name
+        assert self.failing_tensors(setup) == []
 
     def test_corrupted_attention_backward_flags_its_weights(self, setup, monkeypatch):
         true_backward = m._attention_backward
