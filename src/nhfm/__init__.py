@@ -11,7 +11,7 @@ engine, which every command runs
 """
 
 from .data import (Dataset, Event, EventSequence, EventStore, FeatureSchema,
-                   FieldSpec, assemble_sequences, encode_event, fit_schema, split)
+                   FieldSpec, fit_schema, split)
 from .metrics import RunSummary, ScoredSet, auc, mean_ci, spauc, ttest_ind
 from .model import ForwardCache, ModelConfig, Parameters, forward, init_parameters
 from .synthetic import SynthSpec, synth_generate
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "Event", "EventSequence", "EventStore", "FeatureSchema", "FieldSpec",
-    "assemble_sequences", "encode_event", "fit_schema", "split",
+    "fit_schema", "split",
     "RunSummary", "ScoredSet", "auc", "mean_ci", "spauc", "ttest_ind",
     "ForwardCache", "ModelConfig", "Parameters", "forward", "init_parameters",
     "SynthSpec", "synth_generate",

@@ -214,9 +214,11 @@ class RunConfig:
         source_text = None
         cfg = copy.deepcopy(DEFAULT_CONFIG)
         if config_path is not None:
-            source_text = Path(config_path).read_text(encoding="utf-8")
             try:
+                source_text = Path(config_path).read_text(encoding="utf-8")
                 loaded = json.loads(source_text)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{config_path}: not valid UTF-8: {exc}") from None
             except (ValueError, RecursionError) as exc:  # also too many digits or too deep
                 raise DataError(f"config {config_path} is not valid JSON: {exc}")
             if not isinstance(loaded, dict):
@@ -268,6 +270,10 @@ def ingest_generic(path, field_config: dict) -> d.Columns:
             if not line:
                 continue
             try:
+                line.encode("utf-8")  # a byte that did not decode is escaped, and does not encode
+            except UnicodeEncodeError:
+                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+            try:
                 rec = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also too many digits or too deep
                 raise DataError(f"{path}:{lineno}: bad record: {exc}") from None
@@ -282,7 +288,7 @@ def ingest_generic(path, field_config: dict) -> d.Columns:
             stamps.append(rec["__ts"])
             yield rec
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         columns = d.Columns.of(records(fh), field_config)
     if not len(columns):
         raise DataError(f"{path}: no records")
@@ -434,13 +440,14 @@ def train(config_path, out_dir, overrides, force, seeds_flag, seed_flag, variant
     for tag in ("valid", "test"):  # AUC is taken on both, after training
         tr.require_both_classes(splits[tag])
 
+    busy = [p for p in (out / f"seed-{s}" for s in cfg.seeds) if p.exists() and any(p.iterdir())]
+    if busy and not force:
+        raise click.UsageError(f"{busy[0]} is not empty; pass --force")
+
     per_seed_auc: dict[int, float] = {}
     per_seed_spauc: dict[int, float] = {}
     for seed in cfg.seeds:
         seed_dir = out / f"seed-{seed}"
-        if seed_dir.exists() and any(seed_dir.iterdir()) and not force:
-            raise click.UsageError(f"{seed_dir} is not empty; pass --force")
-
         log_lines: list[str] = []
         result = tr.train(splits["train"], splits["valid"], model_config,
                           cfg.train_config(seed), log_fn=log_lines.append)

@@ -8,8 +8,8 @@ per record; the raw readers build them directly, and ``{field: value}``
 mappings convert through :meth:`Columns.of`. Fitting a schema assigns every
 categorical token (plus one out-of-vocabulary slot per field) and every
 numerical field a global feature index; encoding turns records into sparse
-events; assembly windows each user's chronological events into padded,
-right-aligned windows whose last slot is the prediction event.
+events, and windowing slides over each user's chronological events to make
+padded, right-aligned windows whose last slot is the prediction event.
 
 Records are fit and encoded a column at a time: one field's column becomes
 one array of feature indices and one of values, with no object per event.
@@ -19,8 +19,8 @@ holds each distinct event of a user once, as one row of dense arrays, and
 each window as ``t_max`` row references; training, scoring and the file
 format work on its arrays. ``Event`` and ``EventSequence`` objects are a
 decoded view of the store, built only when something reads
-``Dataset.sequences``, and the form that ``encode_event`` and
-``assemble_sequences`` take and give one at a time.
+``Dataset.sequences``; :meth:`EventStore.of` turns such windows back into a
+store.
 """
 
 from __future__ import annotations
@@ -153,14 +153,19 @@ class FeatureSchema:
         try:
             fields = []
             for fj in payload["fields"]:
-                vocab = {tok: i for i, tok in enumerate(fj["vocab"])} if fj["vocab"] is not None else {}
-                stats = tuple(fj["stats"]) if fj["stats"] is not None else None
-                # to_json's fixed layout holds a known kind and numbers as stats
-                if fj["kind"] not in (CATEGORICAL, NUMERICAL) or not all(
-                        isinstance(x, (int, float)) for x in stats or ()):
+                kind, stats = fj["kind"], fj["stats"]
+                tokens = [] if fj["vocab"] is None else fj["vocab"]
+                "".join(tokens)  # a token that is not a string raises TypeError
+                vocab = dict(zip(tokens, range(len(tokens))))
+                # what to_json writes: a known kind, two numbers as stats, distinct tokens
+                if kind not in (CATEGORICAL, NUMERICAL) or stats is not None and [
+                        type(x) in (int, float) for x in stats] != [True, True]:
                     raise FormatError(f"schema field {fj['name']!r} is malformed: "
-                                      f"kind {fj['kind']!r}, stats {fj['stats']!r}")
-                fields.append(FieldSpec(fj["name"], fj["kind"], vocab, stats))
+                                      f"kind {kind!r}, stats {stats!r}")
+                if type(tokens) is not list or len(vocab) < len(tokens):
+                    raise FormatError(f"schema field {fj['name']!r} is malformed: "
+                                      "its vocab is not a list of distinct strings")
+                fields.append(FieldSpec(fj["name"], kind, vocab, stats and tuple(stats)))
             return cls(fields)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"schema fields are malformed: {exc!r}") from None
@@ -186,9 +191,6 @@ class Event:
 
     def indices(self) -> list[int]:
         return [i for i, _ in self.entries]
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.entries]
 
 
 PADDING_EVENT = Event()
@@ -217,18 +219,6 @@ class EventSequence:
 
     def current(self) -> Event:
         return self.events[-1]
-
-    def validate(self) -> None:
-        if len(self.q) != len(self.events):
-            raise DataError("mask and event list lengths differ")
-        if self.q[-1] != 1:
-            raise DataError("final slot must hold the prediction event")
-        seen_real = False
-        for qt in self.q:
-            if qt == 1:
-                seen_real = True
-            elif seen_real:
-                raise DataError("padding must be a contiguous left prefix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,11 +258,20 @@ class EventStore:
             if seq.t_max != t_max:
                 raise DataError(f"mixed t_max in one dataset: {seq.t_max} vs {t_max}")
             users.setdefault(seq.user, len(users))
-        real = [[ev for ev, qt in zip(seq.events, seq.q) if qt == 1] for seq in sequences]
+        real = [[ev.entries for ev, qt in zip(seq.events, seq.q) if qt == 1] for seq in sequences]
         n_real = np.fromiter(map(len, real), dtype=np.intp, count=len(real))
         user = np.array([users[s.user] for s in sequences], dtype=np.int32)
-        idx, val, count, number = _distinct_rows(
-            *_event_arrays(list(chain.from_iterable(real))), np.repeat(user, n_real))
+        # the real events as left-aligned index and value arrays, the layout _encode gives
+        entries = list(chain.from_iterable(real))
+        count = np.fromiter(map(len, entries), dtype=np.int32, count=len(entries))
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(entries)),
+                            dtype=np.float64).reshape(-1, 2)
+        if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < 2**31:
+            raise DataError("a feature index is outside 0..2^31-1")
+        present = np.arange(count.max(initial=0)) < count[:, None]
+        idx, val = np.zeros(present.shape, dtype=np.int32), np.zeros(present.shape)
+        idx[present], val[present] = pairs.T
+        idx, val, count, number = _distinct_rows(idx, val, count, np.repeat(user, n_real))
         rows = np.zeros((len(sequences), t_max), dtype=np.int32)
         rows[np.arange(t_max) >= t_max - n_real[:, None]] = number
         return cls(idx, val, count, rows,
@@ -315,12 +314,8 @@ class Dataset:
                  store: EventStore | None = None):
         self.schema = schema
         self.split = split
-        if store is None:
-            store = EventStore.of(sequences)
-            self._sequences: list[EventSequence] | None = list(sequences)
-        else:
-            self._sequences = None
-        self.store = store
+        self._sequences = None if store is not None else list(sequences)
+        self.store = store if store is not None else EventStore.of(self._sequences)
 
     @property
     def sequences(self) -> list[EventSequence]:
@@ -445,10 +440,8 @@ def _numbers(name: str, column: Column, code: np.ndarray) -> np.ndarray:
     return x
 
 
-def fit_schema(records: Columns | Iterable[Mapping], field_config: Mapping[str, str]
-               ) -> FeatureSchema:
-    """Build vocabularies and numerical stats from training records, given
-    as :class:`Columns` or as ``{field: value}`` mappings.
+def fit_schema(columns: Columns, field_config: Mapping[str, str]) -> FeatureSchema:
+    """Build vocabularies and numerical stats from training records.
 
     ``field_config`` maps field name -> kind, in the order indices should
     be assigned; tokens are numbered in first-seen order. Records carrying
@@ -457,7 +450,6 @@ def fit_schema(records: Columns | Iterable[Mapping], field_config: Mapping[str, 
     for name, kind in field_config.items():
         if kind not in (CATEGORICAL, NUMERICAL):
             raise DataError(f"field {name!r}: unknown kind {kind!r}")
-    columns = records if isinstance(records, Columns) else Columns.of(records, field_config)
     stray = () if columns.stray is None else columns.stray.code[columns.stray.code >= 0]
     if len(stray):
         raise DataError(f"record field {columns.stray.values[stray[0]]!r} "
@@ -484,12 +476,12 @@ def fit_schema(records: Columns | Iterable[Mapping], field_config: Mapping[str, 
 
 def _encode(columns: Columns, schema: FeatureSchema
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every record's entries, as :func:`encode_event` gives them, in
-    ``(R, fields)`` index and value arrays and ``(R,)`` counts, encoded a
-    field's column at a time. Fields take ascending index ranges in schema
-    order, so a record's entries are ascending once they are left-aligned
-    past its missing fields; the rest of the row holds index 0 and value 0.
-    """
+    """Every record's entries, in ``(R, fields)`` index and value arrays
+    and ``(R,)`` counts, a field's column at a time: a token to its index
+    (an unseen one to the OOV) with value 1.0, a number min-max scaled and
+    clamped into [0, 1], a missing or ``None`` field to no entry. Fields take
+    ascending index ranges in schema order, so a record's entries ascend
+    once left-aligned; the rest of the row holds index 0 and value 0."""
     shape = (len(schema.fields), len(columns))  # one row per field until the transpose
     idx = np.zeros(shape, dtype=np.int32)
     val = np.zeros(shape)
@@ -521,20 +513,6 @@ def _encode(columns: Columns, schema: FeatureSchema
     return idx, val, np.count_nonzero(present, axis=1).astype(np.int32)
 
 
-def encode_event(record: Mapping, schema: FeatureSchema) -> Event:
-    """Encode one raw record against a fitted schema, as
-    :func:`encode_windows` encodes each of its records.
-
-    Unseen categorical tokens land on the field's OOV index with value 1.0;
-    numerical values are min-max normalized into [0, 1] and clamped; a
-    missing or ``None`` field contributes no entry.
-    """
-    columns = Columns.of([record], {f.name: f.kind for f in schema.fields})
-    idx, val, count = _encode(columns, schema)
-    c = int(count[0])
-    return Event(tuple(zip(idx[0, :c].tolist(), val[0, :c].tolist())))
-
-
 def decode_event(event: Event, schema: FeatureSchema) -> dict[str, str | float]:
     """Reverse map an encoded event to {field: token-or-value}."""
     out: dict[str, str | float] = {}
@@ -545,24 +523,7 @@ def decode_event(event: Event, schema: FeatureSchema) -> dict[str, str | float]:
 
 
 # ---------------------------------------------------------------------------
-# sequence assembly and splitting
-
-
-def assemble_sequences(user_events: Mapping[str, Sequence[tuple[Event, int]]],
-                       t_max: int) -> EventStore:
-    """Slide a window over each user's chronological (event, label) stream.
-
-    Emits exactly one window per input event: its prediction slot is that
-    event, its history the up-to-``t_max - 1`` preceding events, left-padded
-    with the empty sentinel row when the history is shorter. Equal events
-    of one user share a row.
-    """
-    streams = [(str(user), stream) for user, stream in user_events.items() if stream]
-    lengths = [len(stream) for _, stream in streams]
-    pairs = [pair for _, stream in streams for pair in stream]
-    return _windows(*_event_arrays([event for event, _ in pairs]),
-                    np.repeat(np.arange(len(streams), dtype=np.int32), lengths),
-                    [int(label) for _, label in pairs], [user for user, _ in streams], t_max)
+# windowing and splitting
 
 
 def user_positions(columns: Columns) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -584,28 +545,10 @@ def user_positions(columns: Columns) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def encode_windows(columns: Columns, schema: FeatureSchema, t_max: int) -> EventStore:
     """Encode records, grouped by user and in time order within each user,
-    and slide a window over each user's events, as
-    :func:`assemble_sequences` does over encoded streams; ``__label`` is
-    each window's label."""
+    and slide a window over each user's events, as :func:`_windows` does;
+    ``__label`` is each window's label."""
     owner, users = user_positions(columns)
     return _windows(*_encode(columns, schema), owner, columns.label, users, t_max)
-
-
-def _event_arrays(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``events`` as left-aligned index and value arrays and counts, the
-    layout :func:`_encode` gives."""
-    entries = [ev.entries for ev in events]
-    count = np.fromiter(map(len, entries), dtype=np.int32, count=len(entries))
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(entries)),
-                        dtype=np.float64).reshape(-1, 2)
-    if len(pairs) and not 0 <= pairs[:, 0].min() <= pairs[:, 0].max() < 2**31:
-        raise DataError("a feature index is outside 0..2^31-1")
-    present = np.arange(count.max(initial=0)) < count[:, None]
-    idx = np.zeros(present.shape, dtype=np.int32)
-    val = np.zeros(present.shape)
-    idx[present] = pairs[:, 0]
-    val[present] = pairs[:, 1]
-    return idx, val, count
 
 
 def _distinct_rows(idx: np.ndarray, val: np.ndarray, count: np.ndarray, owner: np.ndarray

@@ -170,7 +170,10 @@ class TrainResult:
 
 def predict_scores(dataset: Dataset, params: Parameters,
                    config: ModelConfig) -> np.ndarray:
-    return scores(dataset.store, params, config)
+    out = scores(dataset.store, params, config)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"{dataset.split} scores are not finite; the parameters diverged")
+    return out
 
 
 def require_both_classes(dataset: Dataset) -> None:
@@ -192,12 +195,13 @@ def _dataset_auc(dataset: Dataset, params: Parameters,
 def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
           train_config: TrainConfig,
           log_fn: Callable[[str], None] | None = None) -> TrainResult:
-    """Single-seed training run returning the best-validation parameters.
+    """Single-seed training run returning the best-validation parameters,
+    or, when no validation ran, the parameters at the stop.
 
     Epoch shuffles draw from a (seed, epoch) stream; each batch is gathered
     from the training split's event store; validation AUC drives early
     stopping with the configured patience. Divergence (non-finite loss or
-    gradient) stops training and returns the last good parameters.
+    gradient) stops training and sets ``diverged``.
     """
     model_config.validate()
     train_config.validate()

@@ -1,6 +1,7 @@
 """The per-record schema fit, event encoder and memo window builder that the
 columnar path in ``nhfm.data`` replaced, kept as an oracle: one ``Event``
-per record, hashed to find a user's equal events, then flattened."""
+per record, hashed to find a user's equal events, then flattened. Tests
+that only need a schema or a store of given events build it here."""
 
 import math
 from itertools import chain
@@ -95,7 +96,13 @@ def assemble_sequences(user_events, t_max) -> EventStore:
     slots = np.arange(len(slot_rows))[:, None] + np.arange(1 - t_max, 1)
     slot_rows = np.array(slot_rows, dtype=np.int32)
     rows = np.where(slots >= first[:, None], slot_rows[np.maximum(slots, 0)], 0)
+    return EventStore(*event_arrays(events), rows.astype(np.int32),
+                      np.array(labels, dtype=np.uint8), owner.astype(np.int32), tuple(users))
 
+
+def event_arrays(events):
+    """``events`` as left-aligned index and value arrays and counts, the
+    layout the library's encoder gives."""
     entries = [ev.entries for ev in events]
     count = np.fromiter(map(len, entries), dtype=np.int32, count=len(entries))
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(entries)),
@@ -105,8 +112,7 @@ def assemble_sequences(user_events, t_max) -> EventStore:
     val = np.zeros(present.shape)
     idx[present] = pairs[:, 0]
     val[present] = pairs[:, 1]
-    return EventStore(idx, val, count, rows.astype(np.int32), np.array(labels, dtype=np.uint8),
-                      owner.astype(np.int32), tuple(users))
+    return idx, val, count
 
 
 def encode_records(records, field_config, ratios, t_max, split_counts):

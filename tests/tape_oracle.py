@@ -435,7 +435,7 @@ def embed_event(tape: Tape, event: Event, v_table: Var, k: int) -> Var | None:
     if not event.entries:
         return None
     rows = gather_rows(v_table, event.indices())
-    values = np.repeat(np.asarray(event.values())[:, None], k, axis=1)
+    values = np.repeat(np.asarray([v for _, v in event.entries])[:, None], k, axis=1)
     return hadamard(rows, tape.constant(values))
 
 
@@ -535,7 +535,7 @@ def wide_term(tape: Tape, seq: EventSequence, pv: Mapping[str, Var]) -> Var:
     values: list[float] = []
     for event in seq.events:
         indices.extend(event.indices())
-        values.extend(event.values())
+        values.extend(v for _, v in event.entries)
     bias = pv["wide.b"]
     if not indices:
         return bias

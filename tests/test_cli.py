@@ -140,6 +140,31 @@ class TestTrain:
         assert run_cli("train", "--config", config, "--seeds", "1") == 1
         assert run_cli("train", "--config", config, "--seeds", "1", "--force") == 0
 
+    def test_a_later_seed_dir_is_refused_before_any_seed_trains(self, config_file, capsys):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        (out / "seed-2").mkdir()
+        (out / "seed-2" / "notes.txt").write_text("kept")
+        assert run_cli("train", "--config", config, "--seeds", "1,2") == 1
+        assert f"{out / 'seed-2'} is not empty" in capsys.readouterr().err
+        assert not (out / "seed-1").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_scores_that_are_not_finite_exit_3(self, config_file, capsys):
+        # Adam at this rate diverges in epoch 1, before any validation, so the
+        # parameters at the stop are saved and score NaN
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--seeds", "1",
+                       "--set", "train.learning_rate=1e100") == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: " in err and " test scores are not finite" in err
+        assert cp.load_checkpoint(out / "seed-1" / "checkpoint.nhfmck").metadata["diverged"]
+        for command in ("eval", "explain"):
+            assert run_cli(command, "--config", config) == 3
+            assert " test scores are not finite" in capsys.readouterr().err
+
 
 class TestEvalExplain:
     @pytest.fixture
@@ -388,13 +413,32 @@ class TestGenericJsonl:
         assert "field 'b': numerical value" in err and "is not a finite number" in err
         assert not (tmp_path / "run" / "data" / "schema.json").exists()
 
+    def test_a_line_that_is_not_utf8_names_the_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, self.line(color="r\u00e9d"), self.line(ts=1),
+                          self.line(ts=2, color="\U0001f600 r#d"))
+        assert "r\u00e9d" in ingest_generic(path, {"color": "categorical"}).fields["color"].values
+        path.write_bytes(path.read_bytes().replace(b"r#d", b"r\xffd"))
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: not valid UTF-8")):
+            ingest_generic(path, {"color": "categorical"})
+        cfg = {"dataset": {"kind": "generic", "t_max": 3, "path": str(path),
+                           "fields": {"color": "categorical"}},
+               "out_dir": str(tmp_path / "run")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("preprocess", "--config", config) == 2
+        assert f"error: {path}:3: not valid UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["abc", float("inf"), float("nan"), [1], {},
                                      pytest.param(10**400, id="1e400")])
     def test_encoding_refuses_a_value_outside_the_fitted_schema(self, bad):
-        schema = d.fit_schema([{"b": 1.0}, {"b": 3.0}], {"b": "numerical"})
-        assert d.encode_event({"b": 2.0}, schema).entries == ((0, 0.5),)
+        fields = {"b": "numerical"}
+        schema = d.fit_schema(d.Columns.of([{"b": 1.0}, {"b": 3.0}], fields), fields)
+
+        def encode(value):
+            return d.encode_windows(d.Columns.of([{"b": value}], fields), schema, 1)
+        assert encode(2.0).views()[0].current().entries == ((0, 0.5),)
         with pytest.raises(DataError, match=re.escape(f"field 'b': numerical value {bad!r}")):
-            d.encode_event({"b": bad}, schema)
+            encode(bad)
 
     def test_fields_that_are_not_an_object_exit_2(self, tmp_path, capsys):
         cfg = {"dataset": {"kind": "generic", "t_max": 3, "fields": ["color"],
@@ -565,7 +609,7 @@ def test_the_public_surface_is_pinned():
     # a change that adds or removes an export or a config key edits these lists
     assert nhfm.__all__ == [
         "Dataset", "Event", "EventSequence", "EventStore", "FeatureSchema", "FieldSpec",
-        "assemble_sequences", "encode_event", "fit_schema", "split",
+        "fit_schema", "split",
         "RunSummary", "ScoredSet", "auc", "mean_ci", "spauc", "ttest_ind",
         "ForwardCache", "ModelConfig", "Parameters", "forward", "init_parameters",
         "SynthSpec", "synth_generate",
@@ -721,6 +765,12 @@ class TestBadConfigValues:
     def test_an_integer_too_large_for_a_float_setting(self, capsys):
         assert run_cli("gradcheck", "--set", "train.learning_rate=1" + "0" * 400) == 2
         assert "train.learning_rate must be a number, got 1000" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seeds": [1], "out_dir": "\xff"}')
+        assert run_cli("gradcheck", "--config", path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8: ")
 
     def test_config_file_that_is_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"

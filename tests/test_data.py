@@ -4,6 +4,7 @@ store and its NHFMDS2 files, and the synthetic generator."""
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import encode_oracle as oracle
 from rule_oracle import rule_fires
 from nhfm import data as d
 from nhfm import dataset_io as dio
@@ -22,33 +24,53 @@ def rec(user="u1", ts=0, label=0, **fields):
     return {"__user": user, "__ts": ts, "__label": label, **fields}
 
 
+def fit(records, fields):
+    return d.fit_schema(d.Columns.of(records, fields), fields)
+
+
+def encode(records, schema, t_max):
+    fields = {f.name: f.kind for f in schema.fields}
+    return d.encode_windows(d.Columns.of(records, fields), schema, t_max)
+
+
+def encoded(body, schema):
+    """The event that ``encode_windows`` makes of one record holding ``body``."""
+    return encode([rec(**body)], schema, 1).views()[0].current()
+
+
+def is_padded_left(window):
+    """Padding is a contiguous left prefix and the last slot is real."""
+    q = window.q
+    return len(q) == len(window.events) and q == sorted(q) and q[-1] == 1
+
+
 class TestFitSchema:
     def test_one_categorical_field_has_oov_slot(self):
-        schema = d.fit_schema([rec(color="a"), rec(color="b")], {"color": d.CATEGORICAL})
+        schema = fit([rec(color="a"), rec(color="b")], {"color": d.CATEGORICAL})
         assert schema.n == 3  # a, b, OOV
         assert schema.oov_index("color") == 2
 
     def test_one_numerical_field(self):
-        schema = d.fit_schema([rec(amount=3.0)], {"amount": d.NUMERICAL})
+        schema = fit([rec(amount=3.0)], {"amount": d.NUMERICAL})
         assert schema.n == 1
         assert schema.fields[0].stats == (3.0, 3.0)
 
     def test_first_seen_token_order(self):
-        schema = d.fit_schema(
+        schema = fit(
             [rec(color="z"), rec(color="a"), rec(color="z")],
             {"color": d.CATEGORICAL})
         assert schema.fields[0].vocab == {"z": 0, "a": 1}
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="zero records"):
-            d.fit_schema([], {"color": d.CATEGORICAL})
+            fit([], {"color": d.CATEGORICAL})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(DataError, match="mystery"):
-            d.fit_schema([rec(mystery="x")], {"color": d.CATEGORICAL})
+            fit([rec(mystery="x")], {"color": d.CATEGORICAL})
 
     def test_index_assignment_is_bijection(self):
-        schema = d.fit_schema(
+        schema = fit(
             [rec(color="a", size="s", amount=1.0),
              rec(color="b", size="m", amount=9.0)],
             {"color": d.CATEGORICAL, "size": d.CATEGORICAL, "amount": d.NUMERICAL})
@@ -59,96 +81,97 @@ class TestFitSchema:
 class TestEncodeEvent:
     @pytest.fixture
     def schema(self):
-        return d.fit_schema(
+        return fit(
             [rec(color="a", amount=10.0), rec(color="b", amount=20.0)],
             {"color": d.CATEGORICAL, "amount": d.NUMERICAL})
 
     def test_one_hot_token(self, schema):
-        ev = d.encode_event({"color": "a"}, schema)
+        ev = encoded({"color": "a"}, schema)
         assert ev.entries == ((0, 1.0),)
 
     def test_numerical_min_maps_to_zero(self, schema):
-        ev = d.encode_event({"amount": 10.0}, schema)
+        ev = encoded({"amount": 10.0}, schema)
         assert ev.entries == ((3, 0.0),)
-        assert d.encode_event({"amount": 20.0}, schema).entries == ((3, 1.0),)
+        assert encoded({"amount": 20.0}, schema).entries == ((3, 1.0),)
 
     def test_numerical_clamped(self, schema):
-        assert d.encode_event({"amount": 999.0}, schema).entries == ((3, 1.0),)
-        assert d.encode_event({"amount": -999.0}, schema).entries == ((3, 0.0),)
+        assert encoded({"amount": 999.0}, schema).entries == ((3, 1.0),)
+        assert encoded({"amount": -999.0}, schema).entries == ((3, 0.0),)
 
     def test_unseen_token_goes_to_oov(self, schema):
-        ev = d.encode_event({"color": "z"}, schema)
+        ev = encoded({"color": "z"}, schema)
         assert ev.entries == ((schema.oov_index("color"), 1.0),)
 
     def test_missing_field_is_absent(self, schema):
-        assert d.encode_event({}, schema).entries == ()
+        assert encoded({}, schema).entries == ()
 
     def test_round_trip_non_oov_tokens(self, schema):
-        ev = d.encode_event({"color": "b", "amount": 15.0}, schema)
+        ev = encoded({"color": "b", "amount": 15.0}, schema)
         decoded = d.decode_event(ev, schema)
         assert decoded["color"] == "b"
         assert decoded["amount"] == 0.5
 
     def test_entries_sorted_ascending(self, schema):
-        ev = d.encode_event({"amount": 12.0, "color": "a"}, schema)
+        ev = encoded({"amount": 12.0, "color": "a"}, schema)
         idx = ev.indices()
         assert idx == sorted(idx)
 
 
 class TestAssembleSequences:
-    def _stream(self, schema, tokens):
-        return [(d.encode_event({"color": t}, schema), i % 2)
-                for i, t in enumerate(tokens)]
+    @staticmethod
+    def _store(schema, t_max, **tokens):
+        """The windows of one record per token, each user's in order."""
+        return encode([rec(user=user, ts=i, label=i % 2, color=t)
+                       for user, stream in tokens.items() for i, t in enumerate(stream)],
+                      schema, t_max)
 
     @pytest.fixture
     def schema(self):
-        return d.fit_schema([rec(color="a"), rec(color="b"), rec(color="c")],
-                            {"color": d.CATEGORICAL})
+        return fit([rec(color="a"), rec(color="b"), rec(color="c")],
+                   {"color": d.CATEGORICAL})
 
     def test_single_event_fully_padded(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "a")}, t_max=10).views()
+        seqs = self._store(schema, 10, u="a").views()
         assert len(seqs) == 1
         assert seqs[0].q == [0] * 9 + [1]
-        seqs[0].validate()
+        assert is_padded_left(seqs[0])
 
     def test_window_of_two(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "abc")}, t_max=2).views()
+        seqs = self._store(schema, 2, u="abc").views()
         assert len(seqs) == 3
         third = seqs[2]
         assert third.q == [1, 1]
         # history of the third sequence is exactly the second event
-        assert third.events[0] == d.encode_event({"color": "b"}, schema)
-        assert third.current() == d.encode_event({"color": "c"}, schema)
+        assert third.events[0] == encoded({"color": "b"}, schema)
+        assert third.current() == encoded({"color": "c"}, schema)
 
     def test_one_sequence_per_event(self, schema):
-        streams = {"u1": self._stream(schema, "abcab"),
-                   "u2": self._stream(schema, "ca")}
-        store = d.assemble_sequences(streams, t_max=3)
+        store = self._store(schema, 3, u1="abcab", u2="ca")
         assert len(store) == len(store.views()) == 7
 
     def test_padding_is_contiguous_prefix_and_last_is_real(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "abcabc")}, t_max=4).views()
+        seqs = self._store(schema, 4, u="abcabc").views()
         for s in seqs:
-            s.validate()
+            assert is_padded_left(s)
             assert s.q[-1] == 1
 
     def test_truncates_oldest_history(self, schema):
-        seqs = d.assemble_sequences({"u": self._stream(schema, "abcab")}, t_max=3).views()
+        seqs = self._store(schema, 3, u="abcab").views()
         last = seqs[-1]
         # events 5's history window is events 3 and 4, not 1 or 2
-        assert last.events[0] == d.encode_event({"color": "c"}, schema)
-        assert last.events[1] == d.encode_event({"color": "a"}, schema)
+        assert last.events[0] == encoded({"color": "c"}, schema)
+        assert last.events[1] == encoded({"color": "a"}, schema)
 
 
 def _toy_sequences(schema, n, user="u"):
-    ev = d.encode_event({"color": "a"}, schema)
+    ev = d.Event(((schema.field_base("color"), 1.0),))
     return [d.EventSequence([ev], [1], 0, user) for _ in range(n)]
 
 
 class TestSplit:
     @pytest.fixture
     def schema(self):
-        return d.fit_schema([rec(color="a")], {"color": d.CATEGORICAL})
+        return oracle.fit_schema([rec(color="a")], {"color": d.CATEGORICAL})
 
     def test_ten_sequences_split_8_1_1(self, schema):
         train, valid, test = d.split(d.Dataset(schema, _toy_sequences(schema, 10)))
@@ -161,7 +184,7 @@ class TestSplit:
     def test_chronological_order_kept(self, schema):
         seqs = []
         for i in range(10):
-            ev = d.encode_event({"color": "a"}, schema)
+            ev = d.Event(((schema.field_base("color"), 1.0),))
             seqs.append(d.EventSequence([ev], [1], i % 2, "u"))
         train, valid, test = d.split(d.Dataset(schema, seqs))
         assert train.sequences == seqs[:8]
@@ -222,7 +245,7 @@ class TestSchemaSerialization:
         assert schema.to_json() == _dumps_schema(schema)
 
     def test_json_round_trip_preserves_hash(self):
-        schema = d.fit_schema(
+        schema = oracle.fit_schema(
             [rec(color="a", amount=1.5), rec(color="b", amount=2.5)],
             {"color": d.CATEGORICAL, "amount": d.NUMERICAL})
         clone = d.FeatureSchema.from_json(schema.to_json())
@@ -230,8 +253,8 @@ class TestSchemaSerialization:
         assert clone.n == schema.n
 
     def test_hash_changes_with_vocab(self):
-        s1 = d.fit_schema([rec(color="a")], {"color": d.CATEGORICAL})
-        s2 = d.fit_schema([rec(color="b")], {"color": d.CATEGORICAL})
+        s1 = oracle.fit_schema([rec(color="a")], {"color": d.CATEGORICAL})
+        s2 = oracle.fit_schema([rec(color="b")], {"color": d.CATEGORICAL})
         assert s1.hash() != s2.hash()
 
     @pytest.mark.parametrize("text, message", [
@@ -244,6 +267,19 @@ class TestSchemaSerialization:
          '"vocab": null, "stats": null}]}', "field 'a' is malformed: kind 'ordinal'"),
         ('{"format": "nhfm-schema-v1", "fields": [{"name": "a", "kind": "numerical", '
          '"vocab": null, "stats": [[0], 1]}]}', r"field 'a' is malformed: .* stats \[\[0\], 1\]"),
+        # what to_json never writes: a vocab that is an object, repeats a token
+        # or holds a number, and stats that are not two numbers
+        *[('{"format": "nhfm-schema-v1", "fields": [{"name": "a", "kind": "categorical", '
+           f'"vocab": {vocab}, "stats": null}}]}}', message)
+          for vocab, message in (
+              ('{"x": 0}', "field 'a' is malformed: its vocab is not a list of distinct strings"),
+              ('["x", "x"]', "field 'a' is malformed: its vocab is not a list of distinct strings"),
+              ('["x", 1]', "schema fields are malformed: .*expected str instance, int found"))],
+        *[('{"format": "nhfm-schema-v1", "fields": [{"name": "a", "kind": "numerical", '
+           f'"vocab": null, "stats": {stats}}}]}}',
+           f"field 'a' is malformed: kind 'numerical', stats {re.escape(want)}")
+          for stats, want in (("[0.5]", "[0.5]"), ("[0, 1, 2]", "[0, 1, 2]"),
+                              ("[0, true]", "[0, True]"))],
     ])
     def test_bad_text_is_a_format_error(self, text, message):
         with pytest.raises(FormatError, match=message):
@@ -309,11 +345,11 @@ class TestSyntheticGenerator:
     def test_all_sequences_valid(self):
         ds = syn.synth_generate(syn.SynthSpec(n_users=25), seed=9)
         for s in ds.sequences:
-            s.validate()
+            assert is_padded_left(s)
             for t, ev in enumerate(s.events):
                 if s.q[t]:
                     assert len(ev.entries) == 3
-                    assert all(0.0 <= v <= 1.0 for v in ev.values())
+                    assert all(0.0 <= v <= 1.0 for _, v in ev.entries)
                 else:
                     assert ev.entries == ()
 
@@ -493,7 +529,7 @@ def _streams(draw, max_events=6):
 def _datasets(draw):
     """Windows of drawn streams, sometimes shuffled, so a user's windows
     are not contiguous."""
-    sequences = d.assemble_sequences(draw(_streams()), draw(st.integers(1, 4))).views()
+    sequences = oracle.assemble_sequences(draw(_streams()), draw(st.integers(1, 4))).views()
     if draw(st.booleans()):
         sequences = draw(st.permutations(sequences))
     return d.Dataset(WIDE_SCHEMA, sequences, draw(st.sampled_from(["train", "t\u00e9st"])))
@@ -532,9 +568,12 @@ def _loop_split(sequences, ratios):
        st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.6, 0.0, 0.4)]))
 @settings(max_examples=60, deadline=None)
 def test_assembly_and_split_match_the_list_based_loops(streams, t_max, data, ratios):
-    windows = d.assemble_sequences(streams, t_max).views()
-    assert windows == _loop_windows(streams, t_max)
-    shuffled = data.draw(st.permutations(windows))
+    pairs = [pair for stream in streams.values() for pair in stream]
+    owner = np.repeat(np.arange(len(streams), dtype=np.int32), list(map(len, streams.values())))
+    store = d._windows(*oracle.event_arrays([ev for ev, _ in pairs]), owner,
+                       [label for _, label in pairs], list(streams), t_max)
+    assert store.views() == _loop_windows(streams, t_max)
+    shuffled = data.draw(st.permutations(store.views()))
     parts = d.split(d.Dataset(WIDE_SCHEMA, shuffled), ratios)
     assert [p.sequences for p in parts] == list(_loop_split(shuffled, ratios))
     assert [p.split for p in parts] == ["train", "valid", "test"]
@@ -557,7 +596,7 @@ def test_dataset_round_trip_property(dataset):
 
 _SMALL = syn.synth_generate(syn.SynthSpec(n_users=8), seed=11)
 # one categorical and one numerical entry per event, half of them not 1.0
-_VALUED = d.Dataset(WIDE_SCHEMA, d.assemble_sequences(
+_VALUED = d.Dataset(WIDE_SCHEMA, oracle.assemble_sequences(
     {f"u{u}": [(d.Event(((3 * u + j, 1.0), (WIDE_SCHEMA.n - 1, (u + j) / 8))), j % 2)
                for j in range(5)] for u in range(3)}, 3).views(), "valid")
 _BLOBS = [(dio.serialize_dataset(ds), ds.schema) for ds in (_SMALL, _VALUED)]

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import encode_oracle as oracle
 import tape_oracle as to
 from nhfm import data as d
 from nhfm import model as m
@@ -57,7 +58,7 @@ def scalar_lstm_reference(xs, w, u, b):
 
 
 def two_token_schema():
-    return d.fit_schema(
+    return oracle.fit_schema(
         [{"__user": "u", "__ts": 0, "__label": 0, "a": "x", "b": "y"},
          {"__user": "u", "__ts": 1, "__label": 0, "a": "z", "b": "w"}],
         {"a": d.CATEGORICAL, "b": d.CATEGORICAL})
