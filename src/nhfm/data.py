@@ -157,7 +157,8 @@ class FeatureSchema:
                 tokens = [] if fj["vocab"] is None else fj["vocab"]
                 "".join(tokens)  # a token that is not a string raises TypeError
                 vocab = dict(zip(tokens, range(len(tokens))))
-                # what to_json writes: a known kind, two numbers as stats, distinct tokens
+                # what to_json writes: a known kind, two numbers as stats, distinct
+                # tokens, distinct field names
                 if kind not in (CATEGORICAL, NUMERICAL) or stats is not None and [
                         type(x) in (int, float) for x in stats] != [True, True]:
                     raise FormatError(f"schema field {fj['name']!r} is malformed: "
@@ -165,6 +166,8 @@ class FeatureSchema:
                 if type(tokens) is not list or len(vocab) < len(tokens):
                     raise FormatError(f"schema field {fj['name']!r} is malformed: "
                                       "its vocab is not a list of distinct strings")
+                if any(f.name == fj["name"] for f in fields):
+                    raise FormatError(f"schema field {fj['name']!r} appears twice")
                 fields.append(FieldSpec(fj["name"], kind, vocab, stats and tuple(stats)))
             return cls(fields)
         except (KeyError, TypeError) as exc:

@@ -46,8 +46,14 @@ It takes the windows in order of their history length, so each chunk's
 windows share their left padding and its BiLSTM runs few steps, and
 walks that order in spans of ``SPAN_WINDOWS`` windows. The event level
 runs on each distinct store row a span references, in blocks of
-``EVENT_ROWS`` rows, and the window level on chunks of ``SCORE_ROWS``
-windows; so the extra memory is bounded by the span, not the store.
+``EVENT_ROWS`` rows. The window level runs once per stack of chunks of
+``SCORE_ROWS`` windows, each chunk a batch of its own, with as many
+chunks per stack as keep the BiLSTM input projection within
+``STACK_CELLS`` cells; so the extra memory is bounded by the span, not
+the store. The stack's BiLSTM (:func:`_stacked_bilstm`) keeps no caches
+for a backward pass, and at each step runs one product per chunk for the
+prefix of the stack whose chunks have started (forward) or not yet
+finished (backward).
 """
 
 from __future__ import annotations
@@ -235,6 +241,12 @@ SCORE_ROWS = 64
 # which bounds the event-level values held at once.
 EVENT_ROWS = 256
 SPAN_WINDOWS = 16 * SCORE_ROWS
+# Cells of the largest array of one scoring stack, the BiLSTM input
+# projection C x (T - 1) x SCORE_ROWS x 4h: a span's chunks are scored C at
+# a time, as many as fit and at least one. One chunk at the paper's shape
+# (h = 64, t_max = 10) takes 147k cells, so that shape stacks one chunk and
+# holds no more at once than chunk-by-chunk scoring did.
+STACK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -288,14 +300,14 @@ def _self_importance(events: np.ndarray, params: Parameters, k: int):
 
 
 def _attend(logits: np.ndarray, proj: np.ndarray, mask: np.ndarray):
-    """The softmax of the history slots' logits ``(B, Th)`` over the real
-    slots only, and the weighted sum of their projections ``(B, Th, k)``."""
+    """The softmax of the history slots' logits ``(..., Th)`` over the real
+    slots only, and the weighted sum of their projections ``(..., Th, k)``."""
     masked = np.where(mask, logits, -np.inf)
-    top = masked.max(axis=1, keepdims=True, initial=-np.inf)
+    top = masked.max(axis=-1, keepdims=True, initial=-np.inf)
     ex = np.exp(masked - np.where(np.isfinite(top), top, 0.0))
-    den = ex.sum(axis=1, keepdims=True)
+    den = ex.sum(axis=-1, keepdims=True)
     weights = ex / np.where(den > 0, den, 1.0)
-    return (weights[..., None] * proj).sum(axis=1), weights
+    return (weights[..., None] * proj).sum(axis=-2), weights
 
 
 def _attention_backward(ds: np.ndarray, weights: np.ndarray, cache,
@@ -356,6 +368,79 @@ def _lstm(x: np.ndarray, mask: np.ndarray, params: Parameters,
     return hidden, (x, mask, w, u, acts, cells_prev, tanh_cells, hiddens_prev, live)
 
 
+def _bilstm(history: np.ndarray, mask: np.ndarray, params: Parameters, h: int):
+    """The sum of both directions' final states over a batch's history
+    ``(B, T - 1, k)``, and the caches of :func:`_lstm_backward`. A padded step
+    keeps the state, so steps padded in every window leave it zero: both
+    directions run from the first slot any window fills."""
+    T1 = history.shape[1]
+    filled = np.flatnonzero(mask.any(axis=0))
+    s0 = filled[0] if len(filled) else T1
+    steps, step_mask = history.transpose(1, 0, 2), mask.T
+    h_fwd, fwd = _lstm(steps, step_mask, params, "fwd", h, range(s0, T1))
+    h_bwd, bwd = _lstm(steps[::-1], step_mask[::-1], params, "bwd", h, range(T1 - s0))
+    return h_fwd + h_bwd, {"fwd": fwd, "bwd": bwd}
+
+
+def _lstm_final(x: np.ndarray, mask: np.ndarray, live: list[int],
+                params: Parameters, direction: str, h: int) -> np.ndarray:
+    """The final state ``(C, R, h)`` of one direction over a stack of C
+    chunks' time-major steps ``x (C, S, R, k)``, keeping nothing for a
+    backward pass. At step ``s`` only the first ``live[s]`` chunks run; the
+    others are padded in every row there, so their state is zero or carried.
+
+    Each chunk's input projection is one ``S * R``-row product and its
+    recurrent product one ``R``-row product, as in :func:`_lstm`, and the
+    gates take :func:`_lstm`'s operations in its order, so every chunk's
+    state is :func:`_lstm`'s to the bit."""
+    C, S, R, k = x.shape
+    w = np.concatenate([params[f"lstm.{direction}.W{g}"] for g in GATES])
+    u = np.concatenate([params[f"lstm.{direction}.U{g}"] for g in GATES])
+    b = np.concatenate([params[f"lstm.{direction}.b{g}"] for g in GATES])
+    xw = (x.reshape(C, S * R, k) @ w.T).reshape(C, S, R, 4 * h)
+    half = np.full(4 * h, 0.5)
+    half[2 * h:3 * h] = 1.0
+    shift = 1.0 - half
+    hidden = np.zeros((C, R, h))
+    cell = np.zeros((C, R, h))
+    gates = np.empty((C, R, 4 * h))
+    for s, n in enumerate(live):
+        if not n:
+            continue
+        a = gates[:n]
+        np.matmul(hidden[:n], u.T, out=a)
+        np.add(xw[:n, s], a, out=a)
+        a += b
+        a *= half
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
+        i, f, g, o = (a[..., j * h:(j + 1) * h] for j in range(4))
+        new_cell = f * cell[:n]
+        new_cell += i * g
+        m = mask[:n, s, :, None]
+        hidden[:n] = np.where(m, o * np.tanh(new_cell), hidden[:n])
+        cell[:n] = np.where(m, new_cell, cell[:n])
+    return hidden
+
+
+def _stacked_bilstm(history: np.ndarray, mask: np.ndarray, params: Parameters,
+                    h: int):
+    """:func:`_bilstm` over a stack of chunks' history ``(C, R, T - 1, k)``,
+    each chunk a batch of its own, keeping no caches. A chunk starts at the
+    first slot one of its windows fills, and at each slot the stack runs its
+    chunks up to the last one started by then. Ordered longest history
+    first, chunks start in stack order, so that prefix holds just the chunks
+    that have started (forward) or not yet finished (backward)."""
+    C = len(history)
+    started = np.logical_or.accumulate(mask.any(axis=1), axis=1)  # (C, T - 1)
+    live = (started * np.arange(1, C + 1)[:, None]).max(axis=0, initial=0).tolist()
+    steps, step_mask = history.transpose(0, 2, 1, 3), mask.transpose(0, 2, 1)
+    h_fwd = _lstm_final(steps, step_mask, live, params, "fwd", h)
+    h_bwd = _lstm_final(steps[:, ::-1], step_mask[:, ::-1], live[::-1], params, "bwd", h)
+    return h_fwd + h_bwd, {}
+
+
 def _lstm_backward(dh: np.ndarray, cache, direction: str, h: int,
                    grads: dict) -> np.ndarray:
     """Backpropagation through time from the final hidden state's gradient
@@ -397,7 +482,7 @@ def _mlp(x: np.ndarray, params: Parameters, n_layers: int):
         z = x @ params[f"mlp.{i}.W"].T + params[f"mlp.{i}.b"]
         pre.append(z)
         x = np.maximum(z, 0.0) if i + 1 < n_layers else z
-    return x[:, 0], (inputs, pre)
+    return x[..., 0], (inputs, pre)
 
 
 def _mlp_backward(dout: np.ndarray, cache, params: Parameters,
@@ -433,35 +518,29 @@ def _event_rows(idx: np.ndarray, val: np.ndarray, params: Parameters):
 
 
 def _window_level(events: np.ndarray, wide: np.ndarray, q: np.ndarray,
-                  att, params: Parameters, config: ModelConfig):
-    """Logits ``(B,)`` and the caches of the window level, from the event
-    level read per slot: ``events (B, T, k)``, ``wide (B, T)``, real-slot
-    flags ``q (B, T)`` and, with attention, ``att``: the history slots'
-    self-importance logits ``(B, T - 1)`` and projections ``(B, T - 1, k)``."""
-    h = config.h
-    T = events.shape[1]
-    history, mask = events[:, :-1], q[:, :-1]
+                  att, params: Parameters, config: ModelConfig, bilstm=_bilstm):
+    """Logits ``(...)`` and the caches of the window level, from the event
+    level read per slot: ``events (..., T, k)``, ``wide (..., T)``, real-slot
+    flags ``q (..., T)`` and, with attention, ``att``: the history slots'
+    self-importance logits ``(..., T - 1)`` and projections ``(..., T - 1, k)``.
+    The leading axes are a batch ``(B,)`` with :func:`_bilstm` or a stack of
+    chunks ``(C, R)`` with :func:`_stacked_bilstm`; every product and sum
+    takes the same rows in the same order either way."""
+    history, mask = events[..., :-1, :], q[..., :-1]
     parts, cache = [], {"events": events}
     if config.uses_alpha_branch():
-        s_alpha, cache["history_sum"] = _fm_pool(history * mask[..., None], axis=1)
+        s_alpha, cache["history_sum"] = _fm_pool(history * mask[..., None], axis=-2)
         parts.append(s_alpha)
     if config.uses_attention():
         s_self, cache["att_weights"] = _attend(*att, mask)
-        # a padded step keeps the state, so steps padded in every window
-        # leave it zero: both directions run from the first slot any fills
-        filled = np.flatnonzero(mask.any(axis=0))
-        s0 = filled[0] if len(filled) else T - 1
-        steps, step_mask = history.transpose(1, 0, 2), mask.T
-        h_fwd, cache["fwd"] = _lstm(steps, step_mask, params, "fwd", h,
-                                    range(s0, T - 1))
-        h_bwd, cache["bwd"] = _lstm(steps[::-1], step_mask[::-1], params, "bwd", h,
-                                    range(T - 1 - s0))
-        parts += [s_self, h_fwd + h_bwd]
-    parts.append(events[:, -1])
+        s_rnn, rnn_cache = bilstm(history, mask, params, config.h)
+        parts += [s_self, s_rnn]
+        cache |= rnn_cache
+    parts.append(events[..., -1, :])
 
-    s = np.concatenate(parts, axis=1)
+    s = np.concatenate(parts, axis=-1)
     mlp_out, cache["mlp"] = _mlp(s, params, len(config.mlp_widths))
-    return mlp_out + (wide.sum(axis=1) + params["wide.b"]), cache
+    return mlp_out + (wide.sum(axis=-1) + params["wide.b"]), cache
 
 
 def _forward(batch: Batch, params: Parameters, config: ModelConfig):
@@ -552,17 +631,23 @@ def _event_level(store: EventStore, rows: np.ndarray, params: Parameters,
 
 
 def scores(store: EventStore, params: Parameters, config: ModelConfig) -> np.ndarray:
-    """Clamped probabilities for every window, ``SCORE_ROWS`` at a time.
+    """Clamped probabilities for every window, in chunks of ``SCORE_ROWS``.
 
     The windows are chunked in order of their real history slots, longest
     first (a stable sort), so a chunk's windows share their left padding
     and its BiLSTM skips the slots that none of them fills. The order is
     walked in spans of ``SPAN_WINDOWS`` windows: the event level runs once
-    on each distinct row a span references (row 0 first), and each chunk's
-    window level reads it through the chunk's references. Each score is
-    written back to its window's position; a score depends on neither its
+    on each distinct row a span references (row 0 first). The span's chunk
+    references form one ``(C, SCORE_ROWS, T)`` array, the last chunk padded
+    with empty windows, and the window level runs on stacks of as many
+    chunks as ``STACK_CELLS`` allows, each chunk a batch of its own. At each
+    step the BiLSTM runs only the prefix of the stack whose chunks fill that
+    slot or one before it in the step's direction. Each score is written
+    back to its window's position; a score depends on neither its
     batchmates nor its position, so the order changes no bit of it.
     """
+    T = store.t_max
+    stack = max(1, STACK_CELLS // (max(T - 1, 1) * SCORE_ROWS * 4 * config.h))
     order = np.argsort(-np.count_nonzero(store.rows[:, :-1], axis=1), kind="stable")
     out = np.empty(len(store))
     for start in range(0, len(store), SPAN_WINDOWS):
@@ -571,17 +656,18 @@ def scores(store: EventStore, params: Parameters, config: ModelConfig) -> np.nda
         rows = np.sort(np.append(0, store.rows[span]))
         rows = rows[np.append(True, rows[1:] != rows[:-1])]
         events, wide, att = _event_level(store, rows, params, config)
-        local = np.searchsorted(rows, store.rows[span])  # 0 on padded slots
-        for lo in range(0, len(span), SCORE_ROWS):
-            chunk = span[lo:lo + SCORE_ROWS]
-            refs = np.zeros((SCORE_ROWS, store.t_max), dtype=np.intp)
-            refs[:len(chunk)] = local[lo:lo + SCORE_ROWS]
-            history = refs[:, :-1]
-            logit = _window_level(
-                events[refs], wide[refs], refs > 0,
+        refs = np.zeros((-(-len(span) // SCORE_ROWS) * SCORE_ROWS, T), dtype=np.intp)
+        refs[:len(span)] = np.searchsorted(rows, store.rows[span])  # 0 on padded slots
+        refs = refs.reshape(-1, SCORE_ROWS, T)
+        logit = np.empty(refs.shape[:2])
+        for lo in range(0, len(refs), stack):
+            r = refs[lo:lo + stack]
+            history = r[..., :-1]
+            logit[lo:lo + stack] = _window_level(
+                events[r], wide[r], r > 0,
                 None if att is None else (att[0][history], att[1][history]),
-                params, config)[0]  # the caches go at once
-            out[chunk] = logit[:len(chunk)]
+                params, config, _stacked_bilstm)[0]
+        out[span] = logit.reshape(-1)[:len(span)]
     return probabilities(out)
 
 

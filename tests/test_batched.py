@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pack_oracle as po
+import score_oracle as so
 import tape_oracle as to
 from nhfm import data as d
 from nhfm import model as m
@@ -153,6 +154,8 @@ def test_windows_without_history_slots():
     assert np.all(close(m.logits(batch, params, config), tape_logits, 1e-10))
     _, grads = m.loss_and_grads(batch, params, config)
     assert not np.any(grads["lstm.fwd.Wi"]) and not np.any(grads["attn.F1.W"])
+    store = d.EventStore.of(windows * 20)  # two chunks, the second partial
+    assert m.scores(store, params, config).tobytes() == so.scores(store, params, config).tobytes()
 
 
 def test_filler_rows_are_empty_and_score_finite():
@@ -207,18 +210,22 @@ def test_scoring_runs_only_the_history_slots_a_chunk_fills(monkeypatch):
     # interleaved in the store
     rng = np.random.default_rng(31)
     windows = [random_window(rng, n) for n in (T_MAX - 1, 2, 0) * m.SCORE_ROWS]
-    steps = []
-    true_lstm = m._lstm
+    lives = []
+    true_lstm = m._lstm_final
 
-    def counted(x, mask, params, direction, h, live):
-        steps.append(len(live))
-        return true_lstm(x, mask, params, direction, h, live)
+    def counted(x, mask, live, params, direction, h):
+        lives.append((direction, live))
+        return true_lstm(x, mask, live, params, direction, h)
 
-    monkeypatch.setattr(m, "_lstm", counted)
+    monkeypatch.setattr(m, "_lstm_final", counted)
     m.scores(d.EventStore.of(windows), SCORE_PARAMS, SCORE_CONFIG)
-    # ordered longest first, the chunks run 5, 2 and 0 steps in each
-    # direction; in store order each would run all T_MAX - 1 = 5
-    assert steps == [T_MAX - 1] * 2 + [2] * 2 + [0] * 2
+    # one stack of three chunks; at each step the first live[s] of them run
+    assert [direction for direction, _ in lives] == ["fwd", "bwd"]
+    for _, live in lives:
+        assert len(live) == T_MAX - 1
+        # ordered longest first, the chunks run 5, 2 and 0 steps in each
+        # direction; in store order each would run all T_MAX - 1 = 5
+        assert [sum(n > c for n in live) for c in range(3)] == [T_MAX - 1, 2, 0]
 
 
 def sliding_store(n_users: int, n_events: int) -> d.EventStore:
@@ -287,6 +294,34 @@ def test_spans_and_blocks_score_as_single_windows(variant):
     for sub in (rng.permutation(len(SLIDING))[:700], rng.integers(len(SLIDING), size=300),
                 np.arange(m.SPAN_WINDOWS + 1)[::-1]):
         assert m.scores(SLIDING.take(sub), params, config).tobytes() == got[sub].tobytes()
+
+
+# windows of every history length, 400 of each, to draw scored stores from
+STACK_POOL = d.EventStore.of([random_window(np.random.default_rng(47), n)
+                              for n in range(T_MAX) for _ in range(400)])
+# 1,110 windows by history length: two spans, a partial last chunk and,
+# last in scoring order, two chunks without history
+STACKED = [130, 400, 300, 150, 100, 30]
+
+
+@settings(max_examples=25, deadline=None)
+@given(variant=st.sampled_from(m.VARIANTS), h=st.sampled_from([3, 40]),
+       counts=st.lists(st.integers(0, 400), min_size=T_MAX, max_size=T_MAX),
+       seed=st.integers(0, 2**32 - 1))
+# per span, h = 40 stacks two chunks at a time and h = 3 all of them; the
+# longest-history chunks come first and the chunks without history last
+@example(variant="full", h=40, counts=STACKED[::-1], seed=1)
+@example(variant="beta", h=40, counts=STACKED, seed=2)
+@example(variant="alpha", h=3, counts=STACKED, seed=3)
+@example(variant="full", h=3, counts=[400, 0, 0, 30, 0, 1], seed=4)
+def test_stacked_scores_equal_the_per_chunk_oracle(variant, h, counts, seed):
+    config = m.ModelConfig(variant=variant, k=4, h=h, mlp_widths=(5, 1), t_max=T_MAX)
+    params = m.random_parameters(config, N_FEATURES, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    # counts[n] windows with n history events, in a shuffled store
+    picks = np.concatenate([n * 400 + rng.permutation(400)[:c] for n, c in enumerate(counts)])
+    store = STACK_POOL.take(rng.permutation(picks) if len(picks) else [0])
+    assert m.scores(store, params, config).tobytes() == so.scores(store, params, config).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -262,6 +262,27 @@ class TestEvalExplain:
         assert run_cli("explain", "--config", config, "--sequences", "2") == 0
         assert (out / "explain.txt").read_text().count("user=") == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_explain_prints_the_scores_that_picked_its_windows(self, config_file):
+        # sgd at this rate overflows the MLP weights: a batch of one reads
+        # NaN where the scoring chunk reads a finite, clamped probability
+        config, out = config_file
+        overflow = ("--set", 'train.optimizer="sgd"', "--set", "train.learning_rate=1e6",
+                    "--set", "model.k=4", "--set", "model.h=4",
+                    "--set", "model.mlp_widths=[8, 1]")
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--seeds", "1", *overflow) == 0
+        assert run_cli("explain", "--config", config, *overflow) == 0
+        ck = cp.load_checkpoint(out / "seed-1" / "checkpoint.nhfmck")
+        test = dio.read_dataset(out / "data" / "test.nhfmds",
+                                dio.load_schema(out / "data" / "schema.json"))
+        scores = tr.predict_scores(test, ck.params, ck.model_config)
+        positives = np.flatnonzero(test.store.label == 1)
+        top = positives[np.argsort(-scores[positives], kind="stable")[:3]]
+        printed = re.findall(r"prediction=(\S+)", (out / "explain.txt").read_text())
+        assert printed == [f"{scores[i]:.4f}" for i in top]
+
     @pytest.mark.parametrize("option", ["--count", "--sequences"])
     def test_explain_refuses_negative_counts(self, trained, option, capsys):
         config, out = trained

@@ -280,6 +280,11 @@ class TestSchemaSerialization:
            f"field 'a' is malformed: kind 'numerical', stats {re.escape(want)}")
           for stats, want in (("[0.5]", "[0.5]"), ("[0, 1, 2]", "[0, 1, 2]"),
                               ("[0, true]", "[0, True]"))],
+        # two fields of one name: the second's base overwrote the first's
+        ('{"format": "nhfm-schema-v1", "fields": ['
+         '{"name": "a", "kind": "categorical", "vocab": ["x"], "stats": null}, '
+         '{"name": "a", "kind": "categorical", "vocab": ["y"], "stats": null}]}',
+         "schema field 'a' appears twice"),
     ])
     def test_bad_text_is_a_format_error(self, text, message):
         with pytest.raises(FormatError, match=message):
