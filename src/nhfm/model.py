@@ -642,9 +642,9 @@ def scores(store: EventStore, params: Parameters, config: ModelConfig) -> np.nda
     with empty windows, and the window level runs on stacks of as many
     chunks as ``STACK_CELLS`` allows, each chunk a batch of its own. At each
     step the BiLSTM runs only the prefix of the stack whose chunks fill that
-    slot or one before it in the step's direction. Each score is written
-    back to its window's position; a score depends on neither its
-    batchmates nor its position, so the order changes no bit of it.
+    slot or an earlier one. Each score is written back to its window's
+    position; a score depends on neither its batchmates nor its position,
+    so the order changes no bit of it.
     """
     T = store.t_max
     stack = max(1, STACK_CELLS // (max(T - 1, 1) * SCORE_ROWS * 4 * config.h))

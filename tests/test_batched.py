@@ -296,9 +296,14 @@ def test_spans_and_blocks_score_as_single_windows(variant):
         assert m.scores(SLIDING.take(sub), params, config).tobytes() == got[sub].tobytes()
 
 
-# windows of every history length, 400 of each, to draw scored stores from
-STACK_POOL = d.EventStore.of([random_window(np.random.default_rng(47), n)
-                              for n in range(T_MAX) for _ in range(400)])
+def length_pool(seed: int, each: int) -> d.EventStore:
+    """``each`` windows of every history length, in order of length."""
+    rng = np.random.default_rng(seed)
+    return d.EventStore.of([random_window(rng, n) for n in range(T_MAX) for _ in range(each)])
+
+
+# the windows that scored stores are drawn from
+STACK_POOL = length_pool(47, 400)
 # 1,110 windows by history length: two spans, a partial last chunk and,
 # last in scoring order, two chunks without history
 STACKED = [130, 400, 300, 150, 100, 30]
