@@ -38,8 +38,10 @@ attention report (:func:`window_forward`) run the event level on every
 slot of their batch, each slot its own event (self-importance on the
 history slots only), and the window level on the result. Windows without
 history get zero attention and LSTM vectors. Backward passes are written
-by hand per layer; embedding and wide gradients are scattered into one
-dense buffer per batch.
+by hand per layer. The embedding gradient is summed into the rows the
+batch touched and kept in that form (:class:`RowSparse`), so no array the
+size of the table is built per batch; the wide gradient is one dense
+vector.
 
 Scoring (:func:`scores`) runs the event level once per distinct event.
 It takes the windows in order of their history length, so each chunk's
@@ -111,12 +113,21 @@ class Parameters(Mapping[str, np.ndarray]):
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         arrays = {name: np.asarray(v, dtype=np.float64) for name, v in arrays.items()}
-        self.flat = np.concatenate([v.ravel() for v in arrays.values()] or [np.zeros(0)])
-        self._views: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, v in arrays.items():
-            self._views[name] = self.flat[offset:offset + v.size].reshape(v.shape)
-            offset += v.size
+        self._bind(np.concatenate([v.ravel() for v in arrays.values()] or [np.zeros(0)]),
+                   {name: v.shape for name, v in arrays.items()})
+
+    def _bind(self, flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> None:
+        self.flat, self._views, offset = flat, {}, 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self._views[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    def _with_flat(self, flat: np.ndarray) -> "Parameters":
+        """The same names and shapes as views into ``flat``."""
+        out = Parameters.__new__(Parameters)
+        out._bind(flat, {name: v.shape for name, v in self._views.items()})
+        return out
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -142,10 +153,26 @@ class Parameters(Mapping[str, np.ndarray]):
         return self.flat.size
 
     def copy(self) -> "Parameters":
-        return Parameters(self)
+        return self._with_flat(self.flat.copy())
 
     def zeros_like(self) -> "Parameters":
-        return Parameters({name: np.zeros_like(v) for name, v in self.items()})
+        return self._with_flat(np.zeros(self.flat.size))
+
+
+@dataclass(frozen=True)
+class RowSparse:
+    """The gradient of an ``(n, k)`` table that is zero outside ``rows``:
+    the sorted distinct rows a batch touched and their sums ``values
+    (len(rows), k)``."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    n: int
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.n, self.values.shape[1]))
+        out[self.rows] = self.values
+        return out
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -506,7 +533,8 @@ def _event_rows(idx: np.ndarray, val: np.ndarray, params: Parameters):
     """The event level for events ``idx (..., F)``, ``val (..., F)``: each
     event's FM-pooled vector ``(..., k)`` and wide term ``(...)``, and the
     embedded entries ``u`` and their sum, which the backward pass reads."""
-    u = params["embed.V"][idx] * val[..., None]                   # (..., F, k)
+    u = params["embed.V"][idx]                                    # (..., F, k)
+    u *= val[..., None]
     events, sums = _fm_pool(u, axis=-2)
     # each event adds its entries in order, so padded entries add exact
     # zeros last and the wide term does not depend on the width F
@@ -561,9 +589,26 @@ def logits(batch: Batch, params: Parameters, config: ModelConfig) -> np.ndarray:
     return _forward(batch, params, config)[0]
 
 
+def _scatter_rows(idx: np.ndarray, terms: np.ndarray, n: int) -> RowSparse:
+    """The sum of ``terms (..., k)`` into rows ``idx (...)`` of an ``(n, k)``
+    table, kept as the touched rows only. One bincount over the touched
+    rows' cells sums each cell's terms in input order, as np.add.at does,
+    in less than half its time, so each row equals its dense sum."""
+    k = terms.shape[-1]
+    idx = idx.reshape(-1)
+    touched = np.zeros(n, dtype=bool)
+    touched[idx] = True
+    rows = np.flatnonzero(touched)
+    cells = (np.searchsorted(rows, idx)[:, None] * k + np.arange(k)).reshape(-1)
+    values = np.bincount(cells, weights=terms.reshape(-1), minlength=len(rows) * k)
+    return RowSparse(rows, values.reshape(-1, k), n)
+
+
 def loss_and_grads(batch: Batch, params: Parameters, config: ModelConfig,
-                   pos_weight: float = 1.0) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean weighted NLL over the batch and its gradient for every parameter."""
+                   pos_weight: float = 1.0) -> tuple[float, dict]:
+    """Mean weighted NLL over the batch and its gradient for every
+    parameter: ``embed.V``'s as a :class:`RowSparse` of the rows the batch
+    touched, every other one a dense array."""
     k, h = config.k, config.h
     B, T, F = batch.idx.shape
     logit, cache = _forward(batch, params, config)
@@ -592,15 +637,13 @@ def loss_and_grads(batch: Batch, params: Parameters, config: ModelConfig,
         dsteps += _lstm_backward(d_rnn, cache["bwd"], "bwd", h, grads)[::-1]
         dhistory += dsteps.transpose(1, 0, 2)
 
-    u = cache["u"]
-    du = devents[:, :, None, :] * (cache["event_sums"][:, :, None, :] - u)
-    # one scatter-add per table; bincount sums in input order, as np.add.at
-    # does, in less than half its time
+    # d/du of the in-event pool, times each entry's value, in place
+    dv = cache["event_sums"][:, :, None, :] - cache["u"]
+    dv *= devents[:, :, None, :]
+    dv *= batch.val[..., None]
     n = params["wide.w"].shape[0]
+    grads["embed.V"] = _scatter_rows(batch.idx, dv, n)
     flat_idx = batch.idx.reshape(-1)
-    cells = (flat_idx[:, None] * k + np.arange(k)).reshape(-1)
-    dv = (du * batch.val[..., None]).reshape(-1)
-    grads["embed.V"] = np.bincount(cells, weights=dv, minlength=n * k).reshape(n, k)
     dw = (dlogit[:, None, None] * batch.val).reshape(-1)
     grads["wide.w"] = np.bincount(flat_idx, weights=dw, minlength=n)
     grads["wide.b"] = np.asarray(dlogit.sum())

@@ -20,11 +20,14 @@ from . import autodiff as ad
 from . import metrics as mt
 from .data import Dataset, EventSequence, EventStore
 from .errors import DataError, NumericalError
-from .model import (ModelConfig, Parameters, gather, init_parameters, logits,
-                    loss_and_grads, random_parameters, scores)
+from .model import (ModelConfig, Parameters, RowSparse, gather, init_parameters,
+                    logits, loss_and_grads, random_parameters, scores)
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
+# Elements of the flat vector per block of Adam's bias-corrected update: two
+# scratch arrays of this size stand in for vectors the size of the parameters.
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,13 +67,18 @@ def nll_loss(logit: float, label: int) -> float:
     return float(np.logaddexp(0.0, logit) - label * logit)
 
 
+def _dense(grad) -> np.ndarray:
+    return grad.dense() if isinstance(grad, RowSparse) else grad
+
+
 def example_loss_and_grads(seq: EventSequence, params: Parameters,
                            config: ModelConfig,
                            pos_weight: float = 1.0
                            ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + backward for one sequence, as a batch of one; gradients
-    keyed by parameter name."""
-    return loss_and_grads(gather(EventStore.of([seq]), [0]), params, config, pos_weight)
+    """Forward + backward for one sequence, as a batch of one; dense
+    gradients keyed by parameter name."""
+    loss, grads = loss_and_grads(gather(EventStore.of([seq]), [0]), params, config, pos_weight)
+    return loss, {name: _dense(g) for name, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +102,95 @@ class OptimizerState:
         return state
 
 
-def optimizer_step(params: Parameters, grads: Mapping[str, np.ndarray],
+def _targets(params: Parameters, grads: Mapping) -> list:
+    """(where, gradient values) over ``params.flat``: a row-sparse
+    gradient's values with ``(slice, rows)`` of its table, and the dense
+    gradients of consecutive tensors concatenated, with their slice."""
+    out, run, start, offset = [], [], 0, 0
+    for name, view in params.items():
+        g = grads[name]
+        if isinstance(g, RowSparse):
+            if run:
+                out.append((slice(start, offset), np.concatenate(run)))
+            out.append(((slice(offset, offset + view.size), g.rows), g.values))
+            run, start = [], offset + view.size
+        else:
+            run.append(np.ravel(g))
+        offset += view.size
+    if run:
+        out.append((slice(start, offset), np.concatenate(run)))
+    return out
+
+
+def _apply(op, vec: np.ndarray, where, terms: np.ndarray) -> None:
+    """``vec[where] = op(vec[where], terms)`` for a slice, or for the rows
+    of a table given as ``(slice, rows)``."""
+    if isinstance(where, slice):
+        op(vec[where], terms, out=vec[where])
+    else:
+        span, rows = where
+        table = vec[span].reshape(-1, terms.shape[1])
+        table[rows] = op(table[rows], terms)
+
+
+def optimizer_step(params: Parameters, grads: Mapping,
                    state: OptimizerState, config: TrainConfig
                    ) -> tuple[Parameters, OptimizerState]:
     """In-place update of ``params.flat``; NaN gradients abort, naming the
-    tensor. The gradients are concatenated once, in parameter order, and
-    each step of the rule is one pass over the whole vector, in the order
-    of the textbook expressions, so results are bit-identical to
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr*m_hat / (sqrt(v_hat) + eps)`` per tensor."""
-    g = np.concatenate([grads[name].ravel() for name in params])
-    if not np.isfinite(g).all():
-        name = next(n for n in params if not np.isfinite(grads[n]).all())
+    tensor. A gradient is a dense array or a :class:`~nhfm.model.RowSparse`
+    of a table's touched rows.
+
+    Results are bit-identical to ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*m_hat / (sqrt(v_hat) + eps)``
+    per tensor, with a row-sparse gradient taken as its dense table, as in
+    TF1's dense-moment sparse Adam: both moments decay over the whole
+    vector, and only the dense tensors and the touched rows take gradient
+    terms. An untouched row would add ``+0.0`` to ``m*b1`` or ``v*b2``,
+    which changes no bit: a moment starts at ``+0.0`` and so never holds
+    ``-0.0`` (a sum is ``-0.0`` only if both terms are, and a nonzero value
+    times a beta never rounds to zero). SGD leaves such a row as it is. The remaining passes run over ``ADAM_BLOCK`` elements of
+    the vector at a time, so no vector the size of the parameters is
+    allocated. Global-norm clipping sums each gradient as its dense form,
+    as before, so a clipped run keeps its bits."""
+    targets = _targets(params, grads)
+    if not all(np.isfinite(g).all() for _, g in targets):
+        name = next(n for n in params if not np.isfinite(_dense(grads[n])).all())
         raise NumericalError(f"non-finite gradient for parameter {name!r}")
 
     if config.grad_clip_norm is not None:
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in map(_dense, grads.values())))
         if total > config.grad_clip_norm:
-            np.multiply(g, config.grad_clip_norm / total, out=g)
+            targets = [(where, g * (config.grad_clip_norm / total)) for where, g in targets]
 
     lr, p = config.learning_rate, params.flat
     state.step += 1
     if state.kind == "sgd":
-        p -= lr * g
+        for where, g in targets:
+            _apply(np.subtract, p, where, lr * g)
         return params, state
+
+    m, v = state.m.flat, state.v.flat
+    np.multiply(m, BETA1, out=m)
+    np.multiply(v, BETA2, out=v)
+    for where, g in targets:
+        _apply(np.add, m, where, g * (1 - BETA1))
+        work = g * (1 - BETA2)
+        np.multiply(work, g, out=work)
+        _apply(np.add, v, where, work)
 
     t = state.step
     c1, c2 = 1 - BETA1 ** t, 1 - BETA2 ** t
-    m, v, work = state.m.flat, state.v.flat, np.empty_like(p)
-    np.multiply(m, BETA1, out=m)
-    np.multiply(g, 1 - BETA1, out=work)
-    np.add(m, work, out=m)
-    np.multiply(v, BETA2, out=v)
-    np.multiply(g, 1 - BETA2, out=work)
-    np.multiply(work, g, out=work)
-    np.add(v, work, out=v)
-    np.divide(m, c1, out=work)       # m_hat
-    np.multiply(work, lr, out=work)
-    np.divide(v, c2, out=g)          # v_hat; g is no longer needed
-    np.sqrt(g, out=g)
-    np.add(g, ADAM_EPS, out=g)
-    np.divide(work, g, out=work)
-    np.subtract(p, work, out=p)
+    step, root = np.empty(min(p.size, ADAM_BLOCK)), np.empty(min(p.size, ADAM_BLOCK))
+    for lo in range(0, p.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, p.size)
+        a, b, pb = step[:hi - lo], root[:hi - lo], p[lo:hi]
+        np.divide(m[lo:hi], c1, out=a)     # m_hat
+        np.multiply(a, lr, out=a)
+        np.divide(v[lo:hi], c2, out=b)     # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, ADAM_EPS, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(pb, a, out=pb)
     return params, state
 
 
@@ -214,7 +269,7 @@ def train(train_ds: Dataset, valid_ds: Dataset, model_config: ModelConfig,
     params = init_parameters(model_config, n, train_config.seed)
     state = OptimizerState.fresh(train_config.optimizer, params)
 
-    best_params = params.copy()
+    best_params: Parameters | None = None  # set by the first evaluation
     best_auc: float | None = None
     best_epoch = 0
     evals_since_improvement = 0
@@ -326,7 +381,7 @@ def grad_check_mode(store: EventStore, windows, n: int,
 
     _, grads = loss_and_grads(batch, params, model_config)
     # loss_and_grads gives the batch mean
-    analytic = {name: g * len(windows) for name, g in grads.items()}
+    analytic = {name: _dense(g) * len(windows) for name, g in grads.items()}
 
     report = ad.finite_diff_errors(total_loss, dict(params.items()),
                                    analytic, eps=eps)

@@ -73,6 +73,9 @@ def assert_matches_tape(windows, variant, pos_weight) -> dict:
     assert np.all(close(m.logits(batch, params, config), tape_logits, 1e-10))
 
     loss, grads = m.loss_and_grads(batch, params, config, pos_weight)
+    # the table's gradient holds exactly the rows the batch touched
+    assert np.array_equal(grads["embed.V"].rows, np.unique(batch.idx))
+    grads["embed.V"] = grads["embed.V"].dense()
     tape_loss = 0.0
     tape_grads = {name: np.zeros_like(v) for name, v in params.items()}
     for seq in windows:

@@ -481,6 +481,9 @@ class TestParameters:
         zeros.flat += 1.0
         assert np.array_equal(params.flat, before)
         assert not np.shares_memory(twin.flat, params.flat)
+        # each is one vector with a view per name
+        for table in (twin, zeros):
+            assert all(np.shares_memory(table[n], table.flat) for n in table)
         assert zeros.names() == params.names()
         assert all(zeros[n].shape == params[n].shape for n in params)
         assert np.array_equal(zeros.flat, np.ones_like(before))

@@ -3,9 +3,12 @@ and the gradient verification mode (including a fault-injection case)."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tape_oracle as to
 from nhfm import cli
@@ -52,6 +55,42 @@ class TestNLLLoss:
 def _params_of(**arrays):
     return m.Parameters({k: np.asarray(v, dtype=np.float64)
                          for k, v in arrays.items()})
+
+
+# finite values with denormals and both zeros among them
+_VALUES = st.one_of(st.floats(-1e3, 1e3),
+                    st.sampled_from([5e-324, -5e-324, 2.2e-310, -1e-320, 0.0, -0.0]))
+# names in vector order: the table first, as the model has it, or between
+# dense tensors
+_LAYOUTS = [("embed.V", "w", "b"), ("w", "embed.V", "b")]
+
+
+def _array(draw, shape):
+    size = math.prod(shape)
+    return np.array(draw(st.lists(_VALUES, min_size=size, max_size=size)),
+                    dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def sparse_runs(draw):
+    """A model of a table of n rows and two dense tensors, Adam moments that
+    may hold denormals on rows no step touches, and a few steps of
+    gradients whose table part is row-sparse."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    order = draw(st.sampled_from(_LAYOUTS))
+    shapes = {"embed.V": (n, k), "w": (draw(st.integers(1, 4)),), "b": ()}
+    shapes = {name: shapes[name] for name in order}
+    params = {name: _array(draw, shape) for name, shape in shapes.items()}
+    # neither moment holds -0.0 (see optimizer_step); v is never negative
+    moments = {name: _array(draw, shape) + 0.0 for name, shape in shapes.items()}
+    squares = {name: np.abs(_array(draw, shape)) for name, shape in shapes.items()}
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.intp)
+        grads = {name: _array(draw, shape) for name, shape in shapes.items() if name != "embed.V"}
+        grads["embed.V"] = m.RowSparse(rows, _array(draw, (len(rows), k)), n)
+        steps.append(grads)
+    return params, moments, squares, steps
 
 
 class TestOptimizerStep:
@@ -123,6 +162,54 @@ class TestOptimizerStep:
         grads = {"good": np.array([0.1]), "bad": np.array([np.nan])}
         with pytest.raises(NumericalError, match="'bad'"):
             tr.optimizer_step(params, grads, state, cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=sparse_runs(), kind=st.sampled_from(["adam", "sgd"]),
+           clip=st.sampled_from([None, 1e-3, 1e6]), lr=st.sampled_from([1e-3, 0.5]))
+    def test_a_row_sparse_table_gradient_steps_as_its_dense_table(self, run, kind, clip, lr):
+        arrays, moments, squares, steps = run
+        cfg = tr.TrainConfig(optimizer=kind, learning_rate=lr, grad_clip_norm=clip)
+        sides = []
+        for dense in (False, True):
+            params = _params_of(**arrays)
+            state = tr.OptimizerState(kind, 3, _params_of(**moments), _params_of(**squares))
+            for grads in steps:
+                if dense:
+                    grads = dict(grads, **{"embed.V": grads["embed.V"].dense()})
+                tr.optimizer_step(params, grads, state, cfg)
+            sides.append((params.flat.tobytes(), state.m.flat.tobytes(),
+                          state.v.flat.tobytes(), state.step))
+        assert sides[0] == sides[1]
+
+    @pytest.mark.parametrize("order", _LAYOUTS)
+    def test_nan_in_a_row_sparse_gradient_names_the_table(self, order):
+        params = _params_of(**{name: np.zeros(shape) for name, shape in
+                               zip(order, [(4, 2) if n == "embed.V" else (3,) for n in order])})
+        before = params.flat.copy()
+        grads = {name: np.ones(params[name].shape) for name in order}
+        grads["embed.V"] = m.RowSparse(np.array([1, 3]), np.array([[0.5, 1.0], [np.nan, 2.0]]), 4)
+        for kind in ("adam", "sgd"):
+            state = tr.OptimizerState.fresh(kind, params)
+            with pytest.raises(NumericalError, match="'embed.V'"):
+                tr.optimizer_step(params, grads, state, tr.TrainConfig(optimizer=kind))
+            assert np.array_equal(params.flat, before)
+
+    def test_a_row_sparse_step_allocates_no_vector_of_the_parameters_size(self):
+        rng = np.random.default_rng(3)
+        params = _params_of(**{"embed.V": rng.normal(size=(20000, 16)), "w": rng.normal(size=500)})
+        state = tr.OptimizerState.fresh("adam", params)
+        rows = np.sort(rng.choice(20000, size=300, replace=False))
+        grads = {"embed.V": m.RowSparse(rows, rng.normal(size=(300, 16)), 20000),
+                 "w": rng.normal(size=500)}
+        tr.optimizer_step(params, grads, state, tr.TrainConfig())
+        tracemalloc.start()
+        try:
+            tr.optimizer_step(params, grads, state, tr.TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two block-sized scratch arrays and the touched rows, against 2.6 MB
+        assert peak < params.flat.nbytes / 4, peak
 
     def test_global_norm_clipping(self):
         params = _params_of(p=[0.0, 0.0])
@@ -281,7 +368,7 @@ class TestGradCheckMode:
         live = np.zeros_like(params["embed.V"])
         for window in probe:
             _, grads = m.loss_and_grads(m.gather(ds.store, [window]), params, config)
-            live += grads["embed.V"]
+            live += grads["embed.V"].dense()
         assert np.max(np.abs(live)) > 1e-6
 
         true_pool = m._fm_pool
@@ -349,23 +436,13 @@ class TestGradCheckMode:
         assert self.failing_tensors(setup) == ["mlp.0.W"]
 
     def test_corrupted_embedding_scatter_flags_the_table(self, setup, monkeypatch):
-        ds, config, _ = setup
-        table_cells = ds.schema.n * config.k
+        true_scatter = m._scatter_rows
 
-        class ScaledScatter:
-            """numpy as the model module sees it, but the scatter-add into
-            the embedding table (not the wide term's) weighs 5% too much."""
+        def scaled_scatter(idx, terms, n):
+            # the embedding table's scatter-add (not the wide term's) weighs 5% too much
+            return true_scatter(idx, 1.05 * terms, n)
 
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def bincount(x, weights=None, minlength=0):
-                if minlength == table_cells:
-                    weights = 1.05 * weights
-                return np.bincount(x, weights=weights, minlength=minlength)
-
-        monkeypatch.setattr(m, "np", ScaledScatter())
+        monkeypatch.setattr(m, "_scatter_rows", scaled_scatter)
         assert self.failing_tensors(setup) == ["embed.V"]
 
     def test_report_lines_name_worst_offender(self, setup):
