@@ -175,7 +175,7 @@ class TestOptimizerStep:
             state = tr.OptimizerState(kind, 3, _params_of(**moments), _params_of(**squares))
             for grads in steps:
                 if dense:
-                    grads = dict(grads, **{"embed.V": grads["embed.V"].dense()})
+                    grads = {**grads, "embed.V": grads["embed.V"].dense()}
                 tr.optimizer_step(params, grads, state, cfg)
             sides.append((params.flat.tobytes(), state.m.flat.tobytes(),
                           state.v.flat.tobytes(), state.step))
@@ -183,8 +183,8 @@ class TestOptimizerStep:
 
     @pytest.mark.parametrize("order", _LAYOUTS)
     def test_nan_in_a_row_sparse_gradient_names_the_table(self, order):
-        params = _params_of(**{name: np.zeros(shape) for name, shape in
-                               zip(order, [(4, 2) if n == "embed.V" else (3,) for n in order])})
+        shapes = {"embed.V": (4, 2), "w": (3,), "b": ()}
+        params = _params_of(**{name: np.zeros(shapes[name]) for name in order})
         before = params.flat.copy()
         grads = {name: np.ones(params[name].shape) for name in order}
         grads["embed.V"] = m.RowSparse(np.array([1, 3]), np.array([[0.5, 1.0], [np.nan, 2.0]]), 4)
