@@ -615,11 +615,7 @@ def explain(config_path, out_dir, overrides, count, n_sequences, seed_flag):
         positives = np.flatnonzero(test.store.label == 1)
         top = positives[np.argsort(-scores[positives], kind="stable")[:n_sequences]]
         for i in top.tolist():
-            # print the score that picked the window: a batch of one may round
-            # differently, and after overflow read NaN where the score is finite
-            report = ex.attention_report(ck, test.store, i, schema)
-            pieces.append(ex.render_event_report(
-                dataclasses.replace(report, y_hat=float(scores[i]))))
+            pieces.append(ex.render_event_report(ex.attention_report(ck, test.store, i, schema)))
 
     text = "\n".join(pieces)
     (out / "explain.txt").write_text(text, encoding="utf-8")

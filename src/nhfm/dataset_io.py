@@ -1,17 +1,17 @@
 """Binary encoded-dataset files and human-readable schema files.
 
-A dataset file (``NHFMDS2``) is an :class:`~nhfm.data.EventStore` written
+A dataset file (``NHFMDS3``) is an :class:`~nhfm.data.EventStore` written
 as raw little-endian arrays: each distinct event of a user once, as one
 row of entries, and each window as ``t_max`` row references. Layout:
 
-    header   magic "NHFMDS2\\0" | schema hash (32 bytes) | eight uint32:
+    header   magic "NHFMDS3\\0" | schema hash (32 bytes) | eight uint32:
              t_max, windows W, rows E, entries N, stored values V,
              users U, user-id bytes, split-tag bytes
     values   float64 (V)        the values that are not 1.0, in entry order
-    pointers int32 (E + 1)      row r's entries are [pointers[r], pointers[r+1])
-    indices  int32 (N)          feature index of each entry
-    rows     int32 (W, t_max)   row references; 0, the empty row, on padded slots
-    users    int32 (W)          user of each window
+    counts   uF (E)             entries of each row; row 0, the empty row, has none
+    indices  uF (N)             feature index of each entry, row after row
+    rows     uR (W, t_max)      row references; 0, the empty row, on padded slots
+    users    uU (W)             user of each window
     user ends int32 (U)         end of each user id in the user-id bytes
     labels   uint8 (W)
     mask     uint8 (ceil(N/8))  bit i (little-endian bit order) set iff
@@ -19,14 +19,21 @@ row of entries, and each window as ``t_max`` row references. Layout:
     user ids UTF-8, concatenated
     split    UTF-8
 
+Each integer array is stored at the narrowest unsigned width, 1, 2 or 4
+bytes, that holds a count the reader already knows: uF holds the
+schema's feature count, uR the file's row count E and uU its user count
+U. The widths need no header field, and the writer refuses a value that
+does not fit its width rather than wrapping it.
+
 Categorical entries carry 1.0, so only numerical values are stored. The
 reader takes every array with ``np.frombuffer`` and checks it whole:
-sizes against the header, the schema hash, monotone pointers, indices
-below the schema's feature count, finite values, labels 0 or 1, row and
-user references in range, one to ``t_max`` real slots per window with
-padding as a left prefix, and valid UTF-8. Any failure is a
-``FormatError``. ``NHFMDS1`` files, the earlier varint format, are not
-read: re-run ``nhfm preprocess`` to write them again.
+sizes against the header, the schema hash, an empty row 0 and counts
+that add up to the header's entries, indices below the schema's feature
+count, finite values, labels 0 or 1, row and user references in range,
+one to ``t_max`` real slots per window with padding as a left prefix, and
+valid UTF-8. Any failure is a ``FormatError``. It builds the same int32
+store whatever the widths. ``NHFMDS1`` and ``NHFMDS2`` files, earlier
+formats, are not read: re-run ``nhfm preprocess`` to write them again.
 """
 
 from __future__ import annotations
@@ -39,10 +46,10 @@ import numpy as np
 from .data import Dataset, EventStore, FeatureSchema
 from .errors import FormatError
 
-DATASET_MAGIC = b"NHFMDS2\0"
-_OLD_MAGIC = b"NHFMDS1"
+DATASET_MAGIC = b"NHFMDS3\0"
+_OLD_MAGICS = (b"NHFMDS1", b"NHFMDS2")
 _HEADER = struct.Struct("<8s32s8I")
-_LIMIT = 2**31  # pointers and references are int32
+_LIMIT = 2**31  # the decoded store's counts and references are int32
 
 
 def decode_utf8(raw: bytes, what: str) -> str:
@@ -52,16 +59,33 @@ def decode_utf8(raw: bytes, what: str) -> str:
         raise FormatError(f"{what} is not valid UTF-8: {exc}") from None
 
 
+def _width(limit: int) -> np.dtype:
+    """The narrowest little-endian unsigned integer type that holds ``limit``."""
+    for dt in (np.dtype("u1"), np.dtype("<u2"), np.dtype("<u4")):
+        if limit <= np.iinfo(dt).max:
+            return dt
+    raise FormatError(f"{limit} does not fit a 4-byte field")
+
+
+def _narrow(values: np.ndarray, dt: np.dtype, what: str) -> bytes:
+    """``values`` as ``dt`` bytes, refusing any value that ``dt`` cannot hold."""
+    top = np.iinfo(dt).max
+    if values.size and not 0 <= values.min() <= values.max() <= top:
+        bad = values[(values < 0) | (values > top)].flat[0]
+        raise FormatError(f"{what} {bad} does not fit its {dt.itemsize}-byte field "
+                          f"(0..{top}) in this file")
+    return values.astype(dt).tobytes()
+
+
 def serialize_dataset(dataset: Dataset) -> bytes:
     store = dataset.store
     present = np.arange(store.idx.shape[1]) < store.count[:, None]
     values = store.val[present]
     marked = values != 1.0
-    pointers = np.zeros(len(store.count) + 1, dtype=np.int64)
-    np.cumsum(store.count, out=pointers[1:])
-    if pointers[-1] >= _LIMIT or len(store.count) >= _LIMIT:
-        raise FormatError(f"{pointers[-1]} entries in {len(store.count)} rows "
+    if len(values) >= _LIMIT or len(store.count) >= _LIMIT:
+        raise FormatError(f"{len(values)} entries in {len(store.count)} rows "
                           "do not fit one dataset file")
+    feature = _width(dataset.schema.n)
     user_ids = [u.encode("utf-8") for u in store.users]
     split = dataset.split.encode("utf-8")
     header = _HEADER.pack(DATASET_MAGIC, dataset.schema.hash(), store.t_max, len(store),
@@ -70,10 +94,10 @@ def serialize_dataset(dataset: Dataset) -> bytes:
     return b"".join([
         header,
         values[marked].astype("<f8").tobytes(),
-        pointers.astype("<i4").tobytes(),
-        store.idx[present].astype("<i4").tobytes(),
-        store.rows.astype("<i4").tobytes(),
-        store.user.astype("<i4").tobytes(),
+        _narrow(store.count, feature, "entry count"),
+        _narrow(store.idx[present], feature, "feature index"),
+        _narrow(store.rows, _width(len(store.count)), "row reference"),
+        _narrow(store.user, _width(len(user_ids)), "window user"),
         np.cumsum([len(u) for u in user_ids], dtype=np.int64).astype("<i4").tobytes(),
         store.label.astype(np.uint8).tobytes(),
         np.packbits(marked, bitorder="little").tobytes(),
@@ -84,9 +108,11 @@ def serialize_dataset(dataset: Dataset) -> bytes:
 
 def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
     size = len(blob)
-    if blob[:len(_OLD_MAGIC)] == _OLD_MAGIC:
-        raise FormatError("this is an NHFMDS1 dataset file, an older format that is no "
-                          "longer read; re-run `nhfm preprocess` to write it again")
+    for old in _OLD_MAGICS:
+        if blob[:len(old)] == old:
+            raise FormatError(f"this is an {old.decode()} dataset file, an older format "
+                              "that is no longer read; re-run `nhfm preprocess` to write "
+                              "it again")
     if blob[:len(DATASET_MAGIC)] != DATASET_MAGIC[:min(size, len(DATASET_MAGIC))]:
         raise FormatError(f"bad magic {bytes(blob[:8])!r}, expected {DATASET_MAGIC!r}")
     if size < _HEADER.size:
@@ -98,10 +124,13 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
         raise FormatError(
             "dataset was encoded against a different schema "
             f"(hash {digest.hex()[:12]}... vs {schema.hash().hex()[:12]}...)")
+    if n_rows >= _LIMIT or n_entries >= _LIMIT:
+        raise FormatError(f"{n_entries} entries in {n_rows} rows do not fit one dataset")
 
-    sections = [("<f8", n_values), ("<i4", n_rows + 1), ("<i4", n_entries),
-                ("<i4", n_windows * t_max), ("<i4", n_windows), ("<i4", n_users),
-                ("u1", n_windows), ("u1", (n_entries + 7) // 8),
+    feature = _width(schema.n)
+    sections = [("<f8", n_values), (feature, n_rows), (feature, n_entries),
+                (_width(n_rows), n_windows * t_max), (_width(n_users), n_windows),
+                ("<i4", n_users), ("u1", n_windows), ("u1", (n_entries + 7) // 8),
                 ("u1", user_bytes), ("u1", split_bytes)]
     expected = _HEADER.size + sum(np.dtype(dt).itemsize * n for dt, n in sections)
     if size < expected:
@@ -112,7 +141,7 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
     for dt, n in sections:
         arrays.append(np.frombuffer(blob, dtype=dt, count=n, offset=offset))
         offset += arrays[-1].nbytes
-    values, pointers, indices, rows, owners, user_ends, labels, mask, user_raw, split_raw \
+    values, counts, indices, rows, owners, user_ends, labels, mask, user_raw, split_raw \
         = arrays
     split = decode_utf8(split_raw.tobytes(), "split tag")
 
@@ -120,10 +149,9 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
         raise FormatError(f"{n_windows} windows of t_max={t_max} slots")
     if n_rows < 1:
         raise FormatError("the file has no rows, not even the empty row 0")
-    if (pointers[0] != 0 or pointers[1] != 0 or pointers[-1] != n_entries
-            or np.any(pointers[1:] < pointers[:-1])):
-        raise FormatError("entry pointers are not monotone from an empty row 0 "
-                          f"to {n_entries} entries")
+    if counts[0] != 0 or counts.sum(dtype=np.int64) != n_entries:
+        raise FormatError(f"entry counts do not run from an empty row 0 to {n_entries} "
+                          "entries")
     if np.any(user_ends[1:] < user_ends[:-1]) or (n_users and user_ends[0] < 0) \
             or (user_ends[-1] if n_users else 0) != user_bytes:
         raise FormatError(f"user id ends are not monotone up to {user_bytes} bytes")
@@ -131,7 +159,7 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
     raw = user_raw.tobytes()
     users = tuple(decode_utf8(raw[a:b], "user id")
                   for a, b in zip(starts, user_ends.tolist()))
-    if n_windows and not 0 <= owners.min() <= owners.max() < n_users:
+    if n_windows and owners.max() >= n_users:
         raise FormatError(f"a window's user is outside the file's {n_users} users")
 
     def window(i: int) -> str:
@@ -140,8 +168,8 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
     if n_windows and labels.max() > 1:
         i = np.flatnonzero(labels > 1)[0]
         raise FormatError(f"{window(i)} has label byte {labels[i]}, expected 0 or 1")
-    if n_entries and not 0 <= indices.min() <= indices.max() < schema.n:
-        bad = indices[(indices < 0) | (indices >= schema.n)][0]
+    if n_entries and indices.max() >= schema.n:
+        bad = indices[indices >= schema.n][0]
         raise FormatError(f"feature index {bad} outside the schema's {schema.n} features")
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)][0]
@@ -151,7 +179,7 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
         raise FormatError(f"value mask does not mark {n_values} of {n_entries} entries")
 
     rows = rows.reshape(n_windows, t_max)
-    if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
+    if rows.size and rows.max() >= n_rows:
         raise FormatError(f"a row reference is outside the file's {n_rows} rows")
     if n_windows:
         real = rows > 0
@@ -161,18 +189,18 @@ def deserialize_dataset(blob: bytes, schema: FeatureSchema) -> Dataset:
             raise FormatError(f"{window(i)} has no real event" if not real[i].any()
                               else f"{window(i)} has a real event before padding")
 
-    count = np.diff(pointers)
-    width = int(count.max(initial=0))
+    width = int(counts.max())
     if width > schema.n:
         raise FormatError(f"an event has {width} entries, more than the schema's "
                           f"{schema.n} features")
+    count = counts.astype(np.int32)
     present = np.arange(width) < count[:, None]
     idx = np.zeros(present.shape, dtype=np.int32)
     idx[present] = indices
-    val = present.astype(np.float64)
-    stored = np.flatnonzero(marked)
-    row = np.searchsorted(pointers, stored, side="right") - 1
-    val[row, stored - pointers[row]] = values
+    entry_val = np.ones(n_entries)
+    entry_val[marked[:n_entries]] = values
+    val = np.zeros(present.shape)
+    val[present] = entry_val
     store = EventStore(idx, val, count, rows.astype(np.int32),
                        labels.copy(), owners.astype(np.int32), users)
     return Dataset(schema, split=split, store=store)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import Event, EventStore, FeatureSchema, decode_event
-from .model import window_forward
+from .model import scores, window_forward
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,9 @@ def attention_report(ck: Checkpoint, store: EventStore, window: int,
                      schema: FeatureSchema) -> EventImportanceReport:
     """Attention weights over the real history events of the window at
     position ``window`` of ``store``, straight from the forward cache, with
-    ranks and the fields of only those events decoded."""
+    ranks and the fields of only those events decoded. The prediction is
+    the window's :func:`~nhfm.model.scores` score, which its batchmates do
+    not change, so it is the score a scoring pass over ``store`` gives."""
     ck.require_schema(schema)
     if not ck.model_config.uses_attention():
         raise ValueError(
@@ -96,8 +98,9 @@ def attention_report(ck: Checkpoint, store: EventStore, window: int,
         event = Event(tuple(zip(store.idx[row, :c].tolist(), store.val[row, :c].tolist())))
         events.append(EventImportance(slot, decode_event(event, schema),
                                       float(weights[i]), int(ranks[i])))
+    y_hat = float(scores(store.take([window]), ck.params, ck.model_config)[0])
     return EventImportanceReport(store.users[store.user[window]], int(store.label[window]),
-                                 cache.y_hat, tuple(events))
+                                 y_hat, tuple(events))
 
 
 def render_feature_ranking(ranking: FeatureRanking) -> str:

@@ -123,6 +123,13 @@ class Parameters(Mapping[str, np.ndarray]):
             self._views[name] = flat[offset:offset + size].reshape(shape)
             offset += size
 
+    @classmethod
+    def zeros(cls, shapes: Mapping[str, tuple[int, ...]]) -> "Parameters":
+        """Zeroed tensors of these names and shapes, in this order."""
+        out = cls.__new__(cls)
+        out._bind(np.zeros(sum(math.prod(s) for s in shapes.values())), shapes)
+        return out
+
     def _with_flat(self, flat: np.ndarray) -> "Parameters":
         """The same names and shapes as views into ``flat``."""
         out = Parameters.__new__(Parameters)
@@ -175,11 +182,6 @@ class RowSparse:
         return out
 
 
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-
 def parameter_shapes(config: ModelConfig, n: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter for ``n`` features, in the order
     ``init_parameters`` creates them."""
@@ -207,17 +209,21 @@ def init_parameters(config: ModelConfig, n: int, seed: int) -> Parameters:
     and the wide term zeros."""
     config.validate()
     rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config, n).items():
+    params = Parameters.zeros(parameter_shapes(config, n))
+    # each tensor is drawn straight into its view, with the bits that
+    # rng.normal(0, 0.01) and rng.uniform(-bound, bound) give
+    for name, view in params.items():
         if name == "embed.V":
-            arrays[name] = rng.normal(0.0, 0.01, size=shape)
-        elif len(shape) == 2:
-            arrays[name] = _glorot(rng, *shape)
+            rng.standard_normal(out=view)
+            view *= 0.01
+        elif view.ndim == 2:
+            bound = math.sqrt(6.0 / sum(view.shape))
+            rng.random(out=view)
+            view *= 2 * bound
+            view -= bound
         elif name.startswith("lstm.") and name.endswith(".bf"):
-            arrays[name] = np.ones(shape)
-        else:
-            arrays[name] = np.zeros(shape)
-    return Parameters(arrays)
+            view.fill(1.0)
+    return params
 
 
 def random_parameters(config: ModelConfig, n: int, seed: int,

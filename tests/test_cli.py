@@ -19,6 +19,7 @@ from nhfm import checkpoint as cp
 from nhfm import cli
 from nhfm import data as d
 from nhfm import dataset_io as dio
+from nhfm import explain as ex
 from nhfm import model as m
 from nhfm import synthetic as syn
 from nhfm import training as tr
@@ -283,6 +284,25 @@ class TestEvalExplain:
         printed = re.findall(r"prediction=(\S+)", (out / "explain.txt").read_text())
         assert printed == [f"{scores[i]:.4f}" for i in top]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_attention_report_gives_the_score_after_overflow(self, config_file):
+        # the overflow run above: a library caller of attention_report gets
+        # the finite score of the scoring pass, not a batch of one's NaN
+        config, out = config_file
+        overflow = ("--set", 'train.optimizer="sgd"', "--set", "train.learning_rate=1e6",
+                    "--set", "model.k=4", "--set", "model.h=4",
+                    "--set", "model.mlp_widths=[8, 1]")
+        assert run_cli("preprocess", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--seeds", "1", *overflow) == 0
+        ck = cp.load_checkpoint(out / "seed-1" / "checkpoint.nhfmck")
+        schema = dio.load_schema(out / "data" / "schema.json")
+        test = dio.read_dataset(out / "data" / "test.nhfmds", schema)
+        scores = tr.predict_scores(test, ck.params, ck.model_config)
+        positives = np.flatnonzero(test.store.label == 1)
+        for i in positives[np.argsort(-scores[positives], kind="stable")[:3]].tolist():
+            assert ex.attention_report(ck, test.store, i, schema).y_hat == scores[i]
+
     @pytest.mark.parametrize("option", ["--count", "--sequences"])
     def test_explain_refuses_negative_counts(self, trained, option, capsys):
         config, out = trained
@@ -315,6 +335,19 @@ class TestEvalExplain:
         path.write_bytes(path.read_bytes()[:-1])
         assert run_cli("inspect", path) == 2
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect", "train"])
+    def test_an_nhfmds2_file_asks_for_preprocess_again(self, config_file, capsys, command):
+        config, out = config_file
+        assert run_cli("preprocess", "--config", config) == 0
+        old = Path(__file__).parent / "data" / "synth20_seed11.nhfmds2"
+        (out / "data" / "train.nhfmds").write_bytes(old.read_bytes())
+        args = (["inspect", out / "data" / "train.nhfmds"] if command == "inspect"
+                else ["train", "--config", config])
+        capsys.readouterr()
+        assert run_cli(*args) == 2
+        assert re.search(r"NHFMDS2 dataset file.*re-run `nhfm preprocess`",
+                         capsys.readouterr().err)
 
 
 def _drop_valid_file(config, out):

@@ -1,5 +1,5 @@
 """Schema fitting, event encoding, window assembly, splitting, the event
-store and its NHFMDS2 files, and the synthetic generator."""
+store and its NHFMDS3 files, and the synthetic generator."""
 
 import hashlib
 import json
@@ -447,9 +447,9 @@ class TestDatasetIO:
 
     def test_file_bytes_are_pinned(self, dataset):
         blob = dio.serialize_dataset(dataset)
-        assert blob.startswith(b"NHFMDS2\0")
+        assert blob.startswith(b"NHFMDS3\0")
         assert hashlib.sha256(blob).hexdigest() == (
-            "eea5b36c4e69bc17364a76d743dcc68fad4d88d4a86de8a187fb503521c2e6c2")
+            "342e9bef4098c903581be2bca97cb80e0f9c402591f14e64e71627825f3cbb34")
 
     def test_nhfmds1_files_are_refused(self, dataset):
         # the same dataset in the earlier varint format, as its pinned bytes
@@ -458,6 +458,32 @@ class TestDatasetIO:
             "7639de2807373f77cb8d898fa1430de8cce599f03369731760926dbcba1428ce")
         with pytest.raises(FormatError, match="NHFMDS1.*re-run `nhfm preprocess`"):
             dio.deserialize_dataset(blob, dataset.schema)
+
+    def test_nhfmds2_files_are_refused(self, dataset):
+        # the same dataset in the earlier fixed-width format, as its pinned bytes
+        blob = (Path(__file__).parent / "data" / "synth20_seed11.nhfmds2").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "eea5b36c4e69bc17364a76d743dcc68fad4d88d4a86de8a187fb503521c2e6c2")
+        with pytest.raises(FormatError, match="NHFMDS2.*re-run `nhfm preprocess`"):
+            dio.deserialize_dataset(blob, dataset.schema)
+
+    @pytest.mark.parametrize("n", [255, 65_535])
+    def test_writer_refuses_an_index_wider_than_its_field(self, n):
+        # 255 features give 1-byte indices, 65,535 give 2-byte ones
+        wider = 256 if n == 255 else 65_536
+        seq = d.EventSequence([d.Event(((wider, 1.0),))], [1], 0, "u")
+        with pytest.raises(FormatError, match=f"feature index {wider} does not fit"):
+            dio.serialize_dataset(d.Dataset(_BOUNDARY_SCHEMAS[n], [seq]))
+
+    def test_writer_refuses_a_count_wider_than_its_field(self, one_window):
+        # 256 entries in one event, where 27 features give 1-byte counts
+        store = one_window.store
+        wide = d.EventStore(np.zeros((len(store.count), 256), dtype=np.int32),
+                            np.ones((len(store.count), 256)),
+                            np.where(store.count > 0, 256, 0).astype(np.int32),
+                            store.rows, store.label, store.user, store.users)
+        with pytest.raises(FormatError, match="entry count 256 does not fit"):
+            dio.serialize_dataset(d.Dataset(one_window.schema, split="train", store=wide))
 
     def test_each_distinct_event_of_a_user_is_one_row(self, dataset):
         store = dio.deserialize_dataset(dio.serialize_dataset(dataset), dataset.schema).store
@@ -597,6 +623,70 @@ def test_dataset_round_trip_property(dataset):
                                                       for i, v in ev.entries)
                    for ev in seq.events)
     assert dio.serialize_dataset(back) == blob
+
+
+def _features(n: int) -> d.FeatureSchema:
+    """A schema of exactly ``n`` features: one categorical field."""
+    return d.FeatureSchema([d.FieldSpec("item", d.CATEGORICAL,
+                                        {str(i): i for i in range(n - 1)})])
+
+
+_BOUNDARY_SCHEMAS = {n: _features(n) for n in (255, 256, 65_535, 65_536)}
+
+
+def _bytes(limit: int) -> int:
+    return 1 if limit < 2**8 else 2 if limit < 2**16 else 4
+
+
+@st.composite
+def _boundary_stores(draw):
+    """Stores at the edges of the 1-, 2- and 4-byte fields: 255 or 256 and
+    65,535 or 65,536 features, up to 65,537 rows and up to 257 users, each
+    reaching the largest index, row and user its counts allow."""
+    n = draw(st.sampled_from(sorted(_BOUNDARY_SCHEMAS)))
+    n_rows = draw(st.sampled_from([2, 255, 256, 257, 65_535, 65_536, 65_537]))
+    n_users = draw(st.sampled_from([1, 255, 256, 257]))
+    t_max = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = rng.integers(0, 4, size=n_rows).astype(np.int32)
+    count[0], count[-1] = 0, 3
+    present = np.arange(3) < count[:, None]
+    idx = np.where(present, rng.integers(0, n, size=present.shape), 0).astype(np.int32)
+    idx[-1, 0] = n - 1
+    val = np.where(rng.random(present.shape) < 0.5, 1.0, rng.normal(size=present.shape))
+    val[~present] = 0.0
+    n_windows = max(n_users, 40)
+    real = rng.integers(1, t_max + 1, size=n_windows)
+    rows = np.where(np.arange(t_max) >= t_max - real[:, None],
+                    rng.integers(1, n_rows, size=(n_windows, t_max)), 0).astype(np.int32)
+    rows[0, -1] = n_rows - 1
+    user = rng.permutation(np.arange(n_windows) % n_users).astype(np.int32)
+    label = rng.integers(0, 2, size=n_windows).astype(np.uint8)
+    store = d.EventStore(idx, val, count, rows, label, user,
+                         tuple(f"u{i}" for i in range(n_users)))
+    return d.Dataset(_BOUNDARY_SCHEMAS[n], split="train", store=store)
+
+
+@given(_boundary_stores())
+@settings(max_examples=40, deadline=None)
+def test_round_trip_across_field_widths(dataset):
+    blob = dio.serialize_dataset(dataset)
+    back = dio.deserialize_dataset(blob, dataset.schema).store
+    store = dataset.store
+    for name, dtype in [("idx", np.int32), ("val", np.float64), ("count", np.int32),
+                        ("rows", np.int32), ("label", np.uint8), ("user", np.int32)]:
+        assert getattr(back, name).dtype == dtype
+        assert np.array_equal(getattr(back, name), getattr(store, name))
+    assert back.users == store.users
+    n_windows, t_max = store.rows.shape
+    n_entries = int(store.count.sum())
+    n_values = int(np.count_nonzero(store.val[np.arange(3) < store.count[:, None]] != 1.0))
+    feature = _bytes(dataset.schema.n)
+    assert len(blob) == (8 + 32 + 8 * 4 + 8 * n_values + feature * (len(store.count) + n_entries)
+                         + _bytes(len(store.count)) * n_windows * t_max
+                         + _bytes(len(store.users)) * n_windows + 4 * len(store.users)
+                         + n_windows + (n_entries + 7) // 8
+                         + sum(map(len, store.users)) + len("train"))
 
 
 _SMALL = syn.synth_generate(syn.SynthSpec(n_users=8), seed=11)

@@ -169,20 +169,21 @@ def _generic_lines():
 GENERIC_FIELDS = {"color": "categorical", "amount": "numerical",
                   "flag": "categorical", "const": "numerical"}
 
-# SHA-256 of what ``nhfm preprocess`` wrote for these inputs with the
-# per-record encoder that the columnar one replaced
+# SHA-256 of what ``nhfm preprocess`` writes for these inputs: the stores
+# decode, array for array, to those the per-record encoder that the columnar
+# one replaced wrote in the earlier NHFMDS2 files
 PINNED = {
     "movielens": {
         "schema.json": "3f595e95073e90f23f85a6f41ca83e871c22d9fdbdf3728b9e9e438d97681860",
-        "train.nhfmds": "0f20dcab17bb957db02bbba4e6551730668c7bd0ba4706a87477ce613b737f00",
-        "valid.nhfmds": "8531b7572133a6ea890d3aa14973118eba10bae4937324ce557666e693e86c01",
-        "test.nhfmds": "91456a8b2b88bf44656423769c8120931f58347ef003d4eae1909ccd21277bcb",
+        "train.nhfmds": "35c1600369b9a08998a508e26ff6498698abedd0b43645219e6feac2b531c282",
+        "valid.nhfmds": "5b41935d042b87c0f89678dd9d3ec88a9c6c0af4a784031e8d3074fcd43aa73b",
+        "test.nhfmds": "e0692ba85776b99c28c3aaafc388638346f3bfd123564167c21825267a499c05",
     },
     "generic": {
         "schema.json": "4b994f6ca93bb5ab52e6588ff4552919dd4c3e5963a0dcf9ed20ece70684caf2",
-        "train.nhfmds": "bc0a8ea834d6859f36152aa6dcc017b76e6a23459af10796d2fa399b3a79f250",
-        "valid.nhfmds": "f06ccb23c705a1df383d8cb8dd52f10d64633d6568c6a5fb13c9225a1be84ca1",
-        "test.nhfmds": "b538dacdf63201ab06f05af07707d8bf6f4de4e42ee017bd4c94a83a15ca4385",
+        "train.nhfmds": "9d930a69110840c049996d638318e89866cf8a1fcf1910c0c92f20b36ea2e23b",
+        "valid.nhfmds": "da53edd38511f9ec6736dab49b37301cfb15ee6811668cf80888f356951e6363",
+        "test.nhfmds": "962e7f2c4f4de4717b79f567e94a743107185b691d0687187e57eee16c46fe13",
     },
 }
 

@@ -6,6 +6,7 @@ The forward tests run the shipped one-window ``forward`` where they read
 only what it returns, and the tape where they read inner vectors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,20 @@ class TestParameters:
             params["embed.V"] = np.zeros((3, 11))
         with pytest.raises(KeyError, match="nope"):
             params["nope"] = np.zeros(1)
+
+    def test_init_draws_into_one_vector(self):
+        # paper shape: the tensors are drawn into the parameter vector itself,
+        # so init holds no second copy of them
+        config = m.ModelConfig(variant="full", k=64, h=64, mlp_widths=(128, 64, 1), t_max=10)
+        m.init_parameters(config, 3673, seed=1)  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            params = m.init_parameters(config, 3673, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * params.flat.nbytes
+        assert all(np.shares_memory(v, params.flat) for v in params.values())
 
     def test_empty(self):
         empty = m.Parameters({})
